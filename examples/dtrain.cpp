@@ -82,7 +82,8 @@ non_iid = false
 
 [runtime]
 compute_threads = 0       ; host threads for compute offload: 0 = auto
-                          ; (DT_COMPUTE_THREADS env, else all cores);
+                          ; (DT_COMPUTE_THREADS env, else all cores
+                          ; up to one per worker);
                           ; results are identical at any value
 host_metrics = false      ; emit host.wall_seconds / host.compute_threads
 
@@ -108,7 +109,8 @@ ps_crashes =              ; shard:at, ... (fail-stop; needs replicate_ps)
 loss_prob = 0.0           ; seeded message faults on lossy machines
 dup_prob = 0.0
 reorder_prob = 0.0
-reorder_window = 0.002    ; extra delay (vseconds) for reordered packets
+reorder_window = 0.0      ; extra delay (vseconds) for reordered packets;
+                          ; must be > 0 whenever reorder_prob > 0
 lossy_machines =          ; machine ids the faults hit (empty = all)
 
 [reliability]             ; reliable transport (docs/network-model.md)

@@ -194,8 +194,9 @@ struct TrainConfig {
   // --- host execution (does not affect simulated results) ---
   /// Host threads for Process::advance_compute numerics. 0 = auto: the
   /// DT_COMPUTE_THREADS environment variable if set, else the hardware
-  /// thread count. 1 = strictly sequential (historical behavior). Any
-  /// value produces bit-identical metrics; >1 only changes wall-clock.
+  /// thread count capped at num_workers (so a 1-worker run never offloads).
+  /// 1 = strictly sequential (historical behavior). Any value produces
+  /// bit-identical metrics; >1 only changes wall-clock.
   int compute_threads = 0;
   /// When true, host-side wall-clock gauges (host.* metrics) are recorded
   /// in the registry. Off by default so metric dumps stay byte-identical

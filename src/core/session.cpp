@@ -542,7 +542,10 @@ metrics::RunResult Session::run() {
     sampler_->attach(engine);
   }
 
-  const int threads = runtime::ThreadPool::resolve_threads(cfg.compute_threads);
+  // Auto never picks more threads than workers: a process's numerics cannot
+  // overlap with itself, so a 1-worker run would only pay the pool handoff.
+  const int threads = runtime::ThreadPool::resolve_threads(
+      cfg.compute_threads, cfg.num_workers);
   engine.set_compute_threads(threads);
 
   init_memory();

@@ -27,6 +27,89 @@ struct __cxa_eh_globals {
 };
 extern "C" __cxa_eh_globals* __cxa_get_globals() noexcept;
 }  // namespace __cxxabiv1
+
+// Fiber context switch (x86-64 System V). dt_sim_fiber_switch pushes the
+// callee-saved registers and the FP control words (MXCSR, x87 CW) of the
+// calling context onto its own stack, stores the resulting stack pointer
+// in *save, loads `load` — a stack pointer saved the same way — and pops
+// that context's state, returning into it. Caller-saved registers need no
+// saving: the compiler already treats them as clobbered by the call. The
+// signal mask is deliberately not part of a context (the simulator never
+// changes it), which is what keeps a switch free of system calls.
+//
+// dt_sim_fiber_start is where a new fiber's hand-built initial frame (see
+// the Process constructor) returns to: it calls the entry function in r13
+// with the Process* in r12 on a 16-byte aligned stack. The entry never
+// returns; ud2 traps if it ever did. `.cfi_undefined rip` marks it as the
+// outermost frame, so unwinders and debuggers stop there.
+extern "C" void dt_sim_fiber_switch(void** save, void* load);
+extern "C" void dt_sim_fiber_start();
+asm(R"(
+        .pushsection .text
+        .globl  dt_sim_fiber_switch
+        .hidden dt_sim_fiber_switch
+        .type   dt_sim_fiber_switch, @function
+        .p2align 4
+dt_sim_fiber_switch:
+        .cfi_startproc
+        pushq   %rbp
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %rbp, 0
+        pushq   %rbx
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %rbx, 0
+        pushq   %r12
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %r12, 0
+        pushq   %r13
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %r13, 0
+        pushq   %r14
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %r14, 0
+        pushq   %r15
+        .cfi_adjust_cfa_offset 8
+        .cfi_rel_offset %r15, 0
+        subq    $8, %rsp
+        .cfi_adjust_cfa_offset 8
+        stmxcsr (%rsp)
+        fnstcw  4(%rsp)
+        movq    %rsp, (%rdi)
+        movq    %rsi, %rsp
+        fldcw   4(%rsp)
+        ldmxcsr (%rsp)
+        addq    $8, %rsp
+        .cfi_adjust_cfa_offset -8
+        popq    %r15
+        .cfi_adjust_cfa_offset -8
+        popq    %r14
+        .cfi_adjust_cfa_offset -8
+        popq    %r13
+        .cfi_adjust_cfa_offset -8
+        popq    %r12
+        .cfi_adjust_cfa_offset -8
+        popq    %rbx
+        .cfi_adjust_cfa_offset -8
+        popq    %rbp
+        .cfi_adjust_cfa_offset -8
+        ret
+        .cfi_endproc
+        .size   dt_sim_fiber_switch, .-dt_sim_fiber_switch
+
+        .globl  dt_sim_fiber_start
+        .hidden dt_sim_fiber_start
+        .type   dt_sim_fiber_start, @function
+        .p2align 4
+dt_sim_fiber_start:
+        .cfi_startproc
+        .cfi_undefined rip
+        movq    %r12, %rdi
+        callq   *%r13
+        ud2
+        .cfi_endproc
+        .size   dt_sim_fiber_start, .-dt_sim_fiber_start
+        .popsection
+)");
 #endif
 
 namespace dt::runtime {
@@ -81,14 +164,27 @@ Process::Process(SimEngine* engine, int id, std::string name,
   // Guard page at the low end: stacks grow downward, so a runaway frame
   // faults instead of silently scribbling over the neighbouring fiber.
   ::mprotect(stack_base_, page, PROT_NONE);
-  ::getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
-  ctx_.uc_stack.ss_size = stack_bytes_ - page;
-  ctx_.uc_link = &engine_->sched_ctx_;
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::fiber_entry), 2,
-                static_cast<unsigned>(self >> 32),
-                static_cast<unsigned>(self & 0xFFFFFFFFu));
+  // Initial frame, laid out exactly as dt_sim_fiber_switch leaves a
+  // suspended context: FP control words, r15, r14, r13, r12, rbx, rbp,
+  // return address. The first switch here "returns" into
+  // dt_sim_fiber_start with rsp at the stack top, which is 16-byte aligned,
+  // as the ABI requires at a call. The FP control words are inherited from
+  // the spawning thread, as a new std::thread would inherit them.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_cw));
+  auto* const frame = reinterpret_cast<std::uint64_t*>(
+                          static_cast<char*>(stack_base_) + stack_bytes_) -
+                      8;
+  frame[0] = mxcsr | (std::uint64_t{x87_cw} << 32);
+  frame[1] = 0;  // r15
+  frame[2] = 0;  // r14
+  frame[3] = reinterpret_cast<std::uint64_t>(&Process::fiber_entry);  // r13
+  frame[4] = reinterpret_cast<std::uint64_t>(this);                   // r12
+  frame[5] = 0;  // rbx
+  frame[6] = 0;  // rbp: ends the frame-pointer chain
+  frame[7] = reinterpret_cast<std::uint64_t>(&dt_sim_fiber_start);
+  sp_ = frame;
 }
 
 Process::~Process() {
@@ -226,11 +322,7 @@ void Process::wait_event_until(double at) {
 double Process::now() const noexcept { return engine_->now_; }
 
 #if DT_SIM_FIBERS
-void Process::fiber_entry(unsigned hi, unsigned lo) {
-  const std::uintptr_t bits =
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Process*>(bits)->context_main();
-}
+void Process::fiber_entry(Process* self) noexcept { self->context_main(); }
 #endif
 
 // ---- SimEngine ------------------------------------------------------------------
@@ -385,21 +477,21 @@ bool SimEngine::try_self_resume_locked(Process& p) {
 void SimEngine::suspend(SchedLock&, Process& from, Process* to) {
   eh_save(from.eh_state_);
   eh_load(to != nullptr ? to->eh_state_ : sched_eh_state_);
-  ::swapcontext(&from.ctx_, to != nullptr ? &to->ctx_ : &sched_ctx_);
+  dt_sim_fiber_switch(&from.sp_, to != nullptr ? to->sp_ : sched_sp_);
   // Resumed: whoever switched here restored our eh_state_ first.
 }
 
 void SimEngine::dispatch(SchedLock&, Process& to) {
   eh_save(sched_eh_state_);
   eh_load(to.eh_state_);
-  ::swapcontext(&sched_ctx_, &to.ctx_);
+  dt_sim_fiber_switch(&sched_sp_, to.sp_);
   // Control only returns here once some process set running_ = nullptr.
 }
 
 void SimEngine::transfer_from_finished(Process& from, Process* to) {
   eh_save(from.eh_state_);  // discarded; keeps the switch protocol uniform
   eh_load(to != nullptr ? to->eh_state_ : sched_eh_state_);
-  ::swapcontext(&from.ctx_, to != nullptr ? &to->ctx_ : &sched_ctx_);
+  dt_sim_fiber_switch(&from.sp_, to != nullptr ? to->sp_ : sched_sp_);
   // Never reached: a done process is not resumed.
 }
 

@@ -21,20 +21,26 @@
 // (sift-up); liveness is an O(1) counter of unfinished non-daemon
 // processes; peak_ready is the high-water mark of the heap size.
 //
-// Execution backend: on plain Linux builds each process is a ucontext
-// fiber — all processes share the OS thread that called run(), and a
-// context switch is a ~100ns swapcontext instead of a multi-microsecond
-// futex round trip. Each fiber gets its own guard-paged stack and its own
-// saved C++ exception-handling state (an in-flight exception in one fiber
-// is invisible to the others). Under ASan/TSan — which cannot follow raw
-// stack switches — the engine falls back to one std::thread per process
-// with per-process condition variables. BOTH backends take scheduling
-// decisions from the same heap, so simulated output is bit-identical
-// across them. Two shortcuts keep the hot path lean without changing the
-// schedule: a yielding process hands the baton DIRECTLY to the next ready
-// process (the engine context only wakes on failure, completion, or
-// deadlock), and a process that is still the earliest event after yielding
-// simply keeps running with no switch at all.
+// Execution backend: on x86-64 Linux each process is a fiber — all
+// processes share the OS thread that called run(), and a context switch is
+// a hand-written register swap instead of a multi-microsecond futex round
+// trip. The switch saves only what the SysV ABI preserves across a call
+// (rbx, rbp, r12-r15, rsp, MXCSR, x87 control word). It does not save the
+// signal mask, which the simulator never changes, so it makes no system
+// call: ~19 ns per switch against ~350 ns for the C library's context API,
+// which restores the mask every time (docs/performance.md has the
+// measurements and their host).
+// Each fiber gets its own guard-paged stack and its own saved C++
+// exception-handling state (an in-flight exception in one fiber is
+// invisible to the others). On every other target, and under ASan/TSan —
+// which cannot follow raw stack switches — the engine uses one std::thread
+// per process with per-process condition variables. BOTH backends take
+// scheduling decisions from the same heap, so simulated output is
+// bit-identical across them. Two shortcuts keep the hot path lean without
+// changing the schedule: a yielding process hands the baton DIRECTLY to the
+// next ready process (the engine context only wakes on failure,
+// completion, or deadlock), and a process that is still the earliest event
+// after yielding simply keeps running with no switch at all.
 //
 // Compute offload (advance_compute): the *virtual* schedule stays strictly
 // sequential, but the *real* numerics of a modeled busy interval may run on
@@ -44,7 +50,7 @@
 // bit-for-bit identical to compute_threads=1 (see docs/performance.md).
 #pragma once
 
-// Backend selection: DT_SIM_FIBERS=1 (ucontext fibers) on Linux, unless a
+// Backend selection: DT_SIM_FIBERS=1 (fibers) on x86-64 Linux, unless a
 // sanitizer that tracks stacks is active or the build overrides it with
 // -DDT_SIM_FIBERS=0.
 #if !defined(DT_SIM_FIBERS)
@@ -57,7 +63,7 @@
 #endif
 #endif
 #if !defined(DT_SIM_FIBERS)
-#if defined(__linux__)
+#if defined(__linux__) && defined(__x86_64__)
 #define DT_SIM_FIBERS 1
 #else
 #define DT_SIM_FIBERS 0
@@ -73,10 +79,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#if DT_SIM_FIBERS
-#include <ucontext.h>
-#endif
 
 #include "runtime/thread_pool.hpp"
 
@@ -160,10 +162,11 @@ class Process {
           std::function<void(Process&)> body, bool daemon);
 
   // Entry point of the execution context: runs body_, records failures,
-  // then finishes. In fiber mode this is the makecontext target.
+  // then finishes. In fiber mode a new fiber's first switch enters it
+  // through fiber_entry.
   void context_main();
 #if DT_SIM_FIBERS
-  static void fiber_entry(unsigned hi, unsigned lo);
+  static void fiber_entry(Process* self) noexcept;
 #endif
 
   // Marks this process done, updates the live counter / failure latch, and
@@ -186,7 +189,7 @@ class Process {
   std::exception_ptr failure_;
 
 #if DT_SIM_FIBERS
-  ucontext_t ctx_;                // suspension point (entry before start)
+  void* sp_ = nullptr;            // saved stack pointer while suspended
   void* stack_base_ = nullptr;    // mmap'd stack, guard page at low end
   std::size_t stack_bytes_ = 0;   // total mapping size incl. guard
   detail::EhState eh_state_;      // saved exception-handling globals
@@ -315,7 +318,7 @@ class SimEngine {
   std::unique_ptr<ThreadPool> pool_;
 
 #if DT_SIM_FIBERS
-  ucontext_t sched_ctx_;          // engine context (run() / kill drivers)
+  void* sched_sp_ = nullptr;      // engine context (run() / kill drivers)
   detail::EhState sched_eh_state_;
 #else
   std::condition_variable engine_cv_;

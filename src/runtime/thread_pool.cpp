@@ -50,14 +50,14 @@ void ThreadPool::worker_loop() {
   }
 }
 
-int ThreadPool::resolve_threads(int requested) {
+int ThreadPool::resolve_threads(int requested, int auto_cap) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("DT_COMPUTE_THREADS")) {
     const int n = std::atoi(env);
     if (n >= 1) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
+  return std::max(1, std::min(static_cast<int>(hw), auto_cap));
 }
 
 }  // namespace dt::runtime

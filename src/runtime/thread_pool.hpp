@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,8 +41,10 @@ class ThreadPool {
 
   /// Number of compute threads the runtime should use when the caller did
   /// not pin one: DT_COMPUTE_THREADS if set (>= 1), otherwise the host's
-  /// hardware concurrency (>= 1). `requested > 0` short-circuits both.
-  static int resolve_threads(int requested);
+  /// hardware concurrency capped at `auto_cap` (>= 1). `requested > 0`
+  /// short-circuits both.
+  static int resolve_threads(
+      int requested, int auto_cap = std::numeric_limits<int>::max());
 
  private:
   void worker_loop();

@@ -53,9 +53,11 @@ struct RunArtifacts {
   std::uint64_t params = 0;
   double final_accuracy = 0.0;
   double virtual_duration = 0.0;
+  int compute_threads = 0;  // resolved pool size (host side, not compared)
 };
 
-RunArtifacts run_once(Algo algo, int threads, bool wait_free_bp = false) {
+RunArtifacts run_once(Algo algo, int threads, bool wait_free_bp = false,
+                      int workers = 4) {
   FunctionalWorkloadSpec spec;
   spec.train_samples = 256;
   spec.test_samples = 64;
@@ -63,21 +65,22 @@ RunArtifacts run_once(Algo algo, int threads, bool wait_free_bp = false) {
   spec.hidden_dim = 16;
   spec.num_classes = 4;
   spec.batch = 8;
-  spec.num_workers = 4;
+  spec.num_workers = workers;
   spec.seed = 23;
   Workload wl = make_functional_workload(spec);
 
   const std::string tag = std::string(algo_name(algo)) + "_t" +
-                          std::to_string(threads) +
+                          std::to_string(threads) + "_w" +
+                          std::to_string(workers) +
                           (wait_free_bp ? "_wfbp" : "");
   const std::string jsonl = "/tmp/dtrainlib_det_" + tag + ".jsonl";
   const std::string csv = "/tmp/dtrainlib_det_" + tag + ".csv";
 
   TrainConfig cfg;
   cfg.algo = algo;
-  cfg.num_workers = 4;
+  cfg.num_workers = workers;
   cfg.epochs = 2.0;
-  cfg.lr = nn::LrSchedule::paper(4, cfg.epochs, 0.02);
+  cfg.lr = nn::LrSchedule::paper(workers, cfg.epochs, 0.02);
   cfg.cluster.workers_per_machine = 2;
   cfg.opt.ps_shards_per_machine = 1;
   cfg.opt.wait_free_bp = wait_free_bp;
@@ -91,9 +94,10 @@ RunArtifacts run_once(Algo algo, int threads, bool wait_free_bp = false) {
   RunArtifacts out;
   out.metrics_jsonl = slurp(jsonl);
   out.timeseries_csv = slurp(csv);
-  out.params = param_hash(wl, 4);
+  out.params = param_hash(wl, workers);
   out.final_accuracy = result.final_accuracy;
   out.virtual_duration = result.virtual_duration;
+  out.compute_threads = result.host_compute_threads;
   std::remove(jsonl.c_str());
   std::remove(csv.c_str());
   return out;
@@ -143,6 +147,20 @@ TEST(Determinism, ComputeThreadsEnvIsPickedUp) {
   const RunArtifacts env = run_once(Algo::ssp, 0);
   ::unsetenv("DT_COMPUTE_THREADS");
   expect_identical(run_once(Algo::ssp, 1), env);
+}
+
+TEST(Determinism, AutoThreadsDoNotOffloadASingleWorker) {
+  // compute_threads=0 caps the pool at the worker count: one worker has
+  // nothing to overlap its numerics with, so auto resolves to the
+  // sequential path. Explicit counts are still honored, and both agree.
+  ::unsetenv("DT_COMPUTE_THREADS");
+  const RunArtifacts autod =
+      run_once(Algo::bsp, 0, /*wait_free_bp=*/false, /*workers=*/1);
+  const RunArtifacts pinned =
+      run_once(Algo::bsp, 8, /*wait_free_bp=*/false, /*workers=*/1);
+  EXPECT_EQ(autod.compute_threads, 1);
+  EXPECT_EQ(pinned.compute_threads, 8);
+  expect_identical(autod, pinned);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -269,6 +271,142 @@ TEST(Sim, DestructorCleansUpWithoutRun) {
   SUCCEED();
 }
 
+// ---- per-process execution state ----------------------------------------------
+//
+// Processes share one OS thread in fiber mode, so everything a context switch
+// must carry — FP control words, the C++ exception-handling globals, an
+// ABI-aligned stack — is pinned here. The thread backend gets the same
+// guarantees from its per-process threads.
+
+TEST(Sim, FloatingPointEnvironmentIsPerProcess) {
+  SimEngine engine;
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  int b_at_entry = -1;
+  int b_after_resume = -1;
+  int a_after_resume = -1;
+  double b_third = 0.0;
+  double a_third = 0.0;
+  engine.spawn("a", [&](Process& self) {
+    std::fesetround(FE_UPWARD);
+    self.advance(1.0);  // b runs while a is suspended rounding upward
+    a_after_resume = std::fegetround();
+    a_third = one / three;  // SSE division: reads MXCSR, not the x87 CW
+  });
+  engine.spawn("b", [&](Process& self) {
+    b_at_entry = std::fegetround();
+    self.advance(0.5);
+    b_after_resume = std::fegetround();
+    b_third = one / three;
+  });
+  engine.run();
+  const int host_mode = std::fegetround();
+  std::fesetround(FE_TONEAREST);  // never leak a mode into later tests
+  EXPECT_EQ(b_at_entry, FE_TONEAREST);
+  EXPECT_EQ(b_after_resume, FE_TONEAREST);
+  EXPECT_EQ(a_after_resume, FE_UPWARD);
+  EXPECT_GT(a_third, b_third);  // 1/3 rounds down to nearest, up in a
+  EXPECT_EQ(host_mode, FE_TONEAREST);
+}
+
+std::string what_of(const std::exception_ptr& e) {
+  if (!e) return "<none>";
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    return ex.what();
+  }
+}
+
+TEST(Sim, ExceptionStateIsPerProcess) {
+  // a yields inside a catch handler (t=0..1) and inside a destructor run by
+  // unwinding (t=1..2); b throws, catches and yields in its own handler in
+  // between. Each must see only its own exceptions on resume.
+  SimEngine engine;
+  std::string a_handler;
+  int a_handler_uncaught = -1;
+  int a_dtor_uncaught = -1;
+  std::string a_second;
+  std::string a_after;
+  int a_after_uncaught = -1;
+  std::string b_entry;
+  int b_entry_uncaught = -1;
+  std::string b_handler;
+  int b_handler_uncaught = -1;
+  std::string b_after;
+  struct YieldInDtor {
+    Process& self;
+    int* uncaught;
+    ~YieldInDtor() {
+      self.advance(1.0);
+      *uncaught = std::uncaught_exceptions();
+    }
+  };
+  engine.spawn("a", [&](Process& self) {
+    try {
+      throw std::runtime_error("a1");
+    } catch (const std::exception&) {
+      self.advance(1.0);
+      a_handler = what_of(std::current_exception());
+      a_handler_uncaught = std::uncaught_exceptions();
+    }
+    try {
+      YieldInDtor guard{self, &a_dtor_uncaught};
+      throw std::runtime_error("a2");
+    } catch (const std::exception& e) {
+      a_second = e.what();
+    }
+    a_after = what_of(std::current_exception());
+    a_after_uncaught = std::uncaught_exceptions();
+  });
+  engine.spawn("b", [&](Process& self) {
+    b_entry = what_of(std::current_exception());  // a is inside a handler
+    b_entry_uncaught = std::uncaught_exceptions();
+    try {
+      throw std::logic_error("b1");
+    } catch (const std::exception&) {
+      self.advance(1.5);  // resumes while a's destructor is suspended
+      b_handler = what_of(std::current_exception());
+      b_handler_uncaught = std::uncaught_exceptions();
+    }
+    try {
+      throw std::logic_error("b2");
+    } catch (const std::exception& e) {
+      b_after = e.what();
+    }
+  });
+  engine.run();
+  EXPECT_EQ(a_handler, "a1");
+  EXPECT_EQ(a_handler_uncaught, 0);
+  EXPECT_EQ(a_dtor_uncaught, 1);
+  EXPECT_EQ(a_second, "a2");
+  EXPECT_EQ(a_after, "<none>");
+  EXPECT_EQ(a_after_uncaught, 0);
+  EXPECT_EQ(b_entry, "<none>");
+  EXPECT_EQ(b_entry_uncaught, 0);
+  EXPECT_EQ(b_handler, "b1");
+  EXPECT_EQ(b_handler_uncaught, 0);
+  EXPECT_EQ(b_after, "b2");
+  EXPECT_EQ(std::current_exception(), nullptr);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(Sim, FreshProcessStackIsAbiAligned) {
+  // A fiber's first frame is hand-built; a misaligned one shows up as a
+  // misaligned alignas(16) local or a crash in SSE-spilling libc code.
+  SimEngine engine;
+  std::uintptr_t local_addr = 1;
+  std::string text;
+  engine.spawn("fresh", [&](Process&) {
+    alignas(16) volatile unsigned char probe[16] = {};
+    local_addr = reinterpret_cast<std::uintptr_t>(&probe[0]);
+    text = std::to_string(2.5);
+  });
+  engine.run();
+  EXPECT_EQ(local_addr % 16, 0u);
+  EXPECT_EQ(text, "2.500000");
+}
+
 TEST(Sim, HeapDispatchMatchesLinearScanReference) {
   // A/B check of the scheduler's total order: the heap must dispatch in
   // exactly the (ready_time, ready_seq) order the old per-event linear
@@ -418,8 +556,11 @@ TEST(ThreadPool, ResolveThreadsPrecedence) {
   ::setenv("DT_COMPUTE_THREADS", "7", 1);
   EXPECT_EQ(ThreadPool::resolve_threads(0), 7);
   EXPECT_EQ(ThreadPool::resolve_threads(2), 2);  // explicit still wins
+  EXPECT_EQ(ThreadPool::resolve_threads(0, 1), 7);  // cap binds auto only
   ::unsetenv("DT_COMPUTE_THREADS");
   EXPECT_GE(ThreadPool::resolve_threads(0), 1);  // hardware fallback
+  EXPECT_EQ(ThreadPool::resolve_threads(0, 1), 1);
+  EXPECT_EQ(ThreadPool::resolve_threads(3, 1), 3);
 }
 
 // ---- advance_compute --------------------------------------------------------
