@@ -177,8 +177,8 @@ common::LineChart Aggregate::to_chart(const std::string& title,
   for (std::size_t i = 0; i < cells_.front().axes.size(); ++i) {
     if (cells_.front().axes[i].first == x_axis) x_index = i;
   }
-  common::check(x_index < cells_.front().axes.size(),
-                "campaign: chart_axis '" + x_axis + "' is not an axis");
+  if (x_index >= cells_.front().axes.size())
+    common::fail("campaign: chart_axis '" + x_axis + "' is not an axis");
 
   // Series = the remaining axes' labels; insertion order = cell order.
   std::map<std::string, std::size_t> series_index;
@@ -189,10 +189,11 @@ common::LineChart Aggregate::to_chart(const std::string& title,
     double x = 0.0;
     const auto res = std::from_chars(
         x_label.data(), x_label.data() + x_label.size(), x);
-    common::check(
-        res.ec == std::errc{} && res.ptr == x_label.data() + x_label.size(),
-        "campaign: chart_axis '" + x_axis + "' label '" + x_label +
-            "' is not numeric");
+    if (res.ec != std::errc{} ||
+        res.ptr != x_label.data() + x_label.size()) {
+      common::fail("campaign: chart_axis '" + x_axis + "' label '" + x_label +
+                   "' is not numeric");
+    }
     std::string name;
     for (std::size_t i = 0; i < cell.axes.size(); ++i) {
       if (i == x_index) continue;
@@ -256,13 +257,15 @@ void write_outputs(const std::string& dir, const std::string& title,
                    const Aggregate& agg) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  common::check(!ec, "campaign: cannot create output dir " + dir + ": " +
-                         ec.message());
+  if (ec) {
+    common::fail("campaign: cannot create output dir " + dir + ": " +
+                 ec.message());
+  }
 
   {
     std::ofstream out(dir + "/runs.jsonl", std::ios::binary);
-    common::check(out.good(), "campaign: cannot write " + dir +
-                                  "/runs.jsonl");
+    if (!out.good())
+      common::fail("campaign: cannot write " + dir + "/runs.jsonl");
     for (const RunRecord& rec : records) {
       const std::string two_lines = rec.serialize();
       out << two_lines.substr(0, two_lines.find('\n') + 1);
@@ -324,8 +327,8 @@ void write_outputs(const std::string& dir, const std::string& title,
   agg_table.save_markdown(dir + "/aggregate.md");
   {
     std::ofstream out(dir + "/aggregate.jsonl", std::ios::binary);
-    common::check(out.good(), "campaign: cannot write " + dir +
-                                  "/aggregate.jsonl");
+    if (!out.good())
+      common::fail("campaign: cannot write " + dir + "/aggregate.jsonl");
     agg.write_jsonl(out);
   }
 }

@@ -237,8 +237,10 @@ RunCache::RunCache(std::string dir) : dir_(std::move(dir)) {
   if (dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  common::check(!ec, "campaign: cannot create cache dir " + dir_ + ": " +
-                         ec.message());
+  if (ec) {
+    common::fail("campaign: cannot create cache dir " + dir_ + ": " +
+                 ec.message());
+  }
 }
 
 std::string RunCache::path_of(const std::string& fingerprint) const {
@@ -264,14 +266,16 @@ void RunCache::store(const RunRecord& record) const {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    common::check(out.good(), "campaign: cannot write " + tmp);
+    if (!out.good()) common::fail("campaign: cannot write " + tmp);
     out << record.serialize();
-    common::check(out.good(), "campaign: write failed: " + tmp);
+    if (!out.good()) common::fail("campaign: write failed: " + tmp);
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  common::check(!ec, "campaign: cannot publish cache entry " + path + ": " +
-                         ec.message());
+  if (ec) {
+    common::fail("campaign: cannot publish cache entry " + path + ": " +
+                 ec.message());
+  }
 }
 
 }  // namespace dt::campaign

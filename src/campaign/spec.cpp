@@ -65,21 +65,21 @@ std::pair<std::string, std::string> resolve_target(const std::string& spec,
   } else {
     section = spec.substr(0, dot);
     key = spec.substr(dot + 1);
-    common::check(core::experiment_ini_known(section, key),
-                  "campaign: " + what + " targets unknown key [" + section +
-                      "] " + key);
+    if (!core::experiment_ini_known(section, key)) {
+      common::fail("campaign: " + what + " targets unknown key [" + section +
+                   "] " + key);
+    }
   }
-  common::check(section != "output" && section != "campaign",
-                "campaign: " + what + " may not target [" + section + "]");
+  if (section == "output" || section == "campaign")
+    common::fail("campaign: " + what + " may not target [" + section + "]");
   return {section, key};
 }
 
 /// Parses one bundle override token "key=value" / "section.key=value".
 Override parse_override(const std::string& token, const std::string& what) {
   const std::size_t eq = token.find('=');
-  common::check(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
-                "campaign: " + what + " entries are key=value, got: " +
-                    token);
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size())
+    common::fail("campaign: " + what + " entries are key=value, got: " + token);
   const auto [section, key] = resolve_target(token.substr(0, eq), what);
   return Override{section, key, token.substr(eq + 1)};
 }
@@ -168,34 +168,36 @@ CampaignSpec CampaignSpec::from_ini(const common::IniConfig& ini) {
           key == "name" || key == "replicates" || key == "runner_threads" ||
           key == "cache_dir" || key == "output_dir" || key == "metric" ||
           key == "chart_axis" || key.rfind("value.", 0) == 0;
-      common::check(known, "campaign: unknown key '" + key + "'");
+      if (!known) common::fail("campaign: unknown key '" + key + "'");
       continue;
     }
     const std::string target = key.substr(5);
-    common::check(!target.empty(), "campaign: empty axis name in '" + key +
-                                       "'");
+    if (target.empty())
+      common::fail("campaign: empty axis name in '" + key + "'");
     const std::vector<std::string> labels =
         split_list(ini.get("campaign", key, ""), ',');
-    common::check(!labels.empty(),
-                  "campaign: axis '" + target + "' has no values");
+    if (labels.empty())
+      common::fail("campaign: axis '" + target + "' has no values");
 
     Axis axis{target, {}};
     const std::string value_prefix = "value." + target + ".";
     const bool bundled = ini.has("campaign", value_prefix + labels.front());
     for (const std::string& label : labels) {
       if (bundled) {
-        common::check(ini.has("campaign", value_prefix + label),
-                      "campaign: axis '" + target + "' value '" + label +
-                          "' has no " + value_prefix + label + " entry");
+        if (!ini.has("campaign", value_prefix + label)) {
+          common::fail("campaign: axis '" + target + "' value '" + label +
+                       "' has no " + value_prefix + label + " entry");
+        }
         AxisValue v{label, {}};
         for (const std::string& token :
              split_ws(ini.get("campaign", value_prefix + label, ""))) {
           v.overrides.push_back(
               parse_override(token, "axis '" + target + "'"));
         }
-        common::check(!v.overrides.empty(),
-                      "campaign: axis '" + target + "' value '" + label +
-                          "' resolves to no overrides");
+        if (v.overrides.empty()) {
+          common::fail("campaign: axis '" + target + "' value '" + label +
+                       "' resolves to no overrides");
+        }
         axis.values.push_back(std::move(v));
       } else {
         const auto [section, k] =
@@ -225,8 +227,10 @@ CampaignSpec CampaignSpec::from_ini(const common::IniConfig& ini) {
         }
       }
     }
-    common::check(referenced, "campaign: unknown key '" + key +
-                                  "' (no axis value references it)");
+    if (!referenced) {
+      common::fail("campaign: unknown key '" + key +
+                   "' (no axis value references it)");
+    }
   }
 
   spec.base = ini;
@@ -248,21 +252,22 @@ std::vector<RunSpec> CampaignSpec::expand() const {
   common::check(!axes.empty(), "campaign: no axes to expand");
   common::check(replicates >= 1, "campaign: replicates must be >= 1");
   for (std::size_t i = 0; i < axes.size(); ++i) {
-    common::check(!axes[i].values.empty(),
-                  "campaign: axis '" + axes[i].name + "' has no values");
+    if (axes[i].values.empty())
+      common::fail("campaign: axis '" + axes[i].name + "' has no values");
     for (std::size_t j = 0; j < i; ++j) {
-      common::check(axes[j].name != axes[i].name,
-                    "campaign: duplicate axis '" + axes[i].name + "'");
+      if (axes[j].name == axes[i].name)
+        common::fail("campaign: duplicate axis '" + axes[i].name + "'");
     }
     for (const AxisValue& v : axes[i].values) {
       for (const Override& o : v.overrides) {
-        common::check(core::experiment_ini_known(o.section, o.key),
-                      "campaign: axis '" + axes[i].name +
-                          "' targets unknown key [" + o.section + "] " +
-                          o.key);
-        common::check(o.section != "output",
-                      "campaign: axis '" + axes[i].name +
-                          "' may not target [output]");
+        if (!core::experiment_ini_known(o.section, o.key)) {
+          common::fail("campaign: axis '" + axes[i].name +
+                       "' targets unknown key [" + o.section + "] " + o.key);
+        }
+        if (o.section == "output") {
+          common::fail("campaign: axis '" + axes[i].name +
+                       "' may not target [output]");
+        }
       }
     }
   }

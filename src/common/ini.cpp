@@ -48,22 +48,23 @@ IniConfig IniConfig::parse(std::istream& in) {
     if (line.empty()) continue;
 
     if (line.front() == '[') {
-      check(line.back() == ']',
-            "ini: unterminated section header at line " +
-                std::to_string(line_no));
+      if (line.back() != ']') {
+        fail("ini: unterminated section header at line " +
+             std::to_string(line_no));
+      }
       section = trim(line.substr(1, line.size() - 2));
-      check(!section.empty(),
-            "ini: empty section name at line " + std::to_string(line_no));
+      if (section.empty())
+        fail("ini: empty section name at line " + std::to_string(line_no));
       cfg.values_[section];  // register even if empty
       continue;
     }
 
     const std::size_t eq = line.find('=');
-    check(eq != std::string::npos,
-          "ini: expected key = value at line " + std::to_string(line_no));
+    if (eq == std::string::npos)
+      fail("ini: expected key = value at line " + std::to_string(line_no));
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    check(!key.empty(), "ini: empty key at line " + std::to_string(line_no));
+    if (key.empty()) fail("ini: empty key at line " + std::to_string(line_no));
     cfg.values_[section][key] = value;
   }
   return cfg;
@@ -76,7 +77,7 @@ IniConfig IniConfig::parse_string(const std::string& text) {
 
 IniConfig IniConfig::load(const std::string& path) {
   std::ifstream in(path);
-  check(in.good(), "ini: cannot open " + path);
+  if (!in.good()) fail("ini: cannot open " + path);
   return parse(in);
 }
 
@@ -100,7 +101,7 @@ double IniConfig::get_double(const std::string& section,
   try {
     std::size_t pos = 0;
     const double out = std::stod(v, &pos);
-    check(pos == v.size(), "ini: trailing characters in number: " + v);
+    if (pos != v.size()) fail("ini: trailing characters in number: " + v);
     return out;
   } catch (const std::invalid_argument&) {
     fail("ini: not a number: [" + section + "] " + key + " = " + v);
@@ -117,7 +118,7 @@ std::int64_t IniConfig::get_int(const std::string& section,
   try {
     std::size_t pos = 0;
     const std::int64_t out = std::stoll(v, &pos);
-    check(pos == v.size(), "ini: trailing characters in integer: " + v);
+    if (pos != v.size()) fail("ini: trailing characters in integer: " + v);
     return out;
   } catch (const std::invalid_argument&) {
     fail("ini: not an integer: [" + section + "] " + key + " = " + v);

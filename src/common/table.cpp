@@ -102,7 +102,7 @@ void Table::write_csv(std::ostream& os) const {
 
 void Table::save_csv(const std::string& path) const {
   std::ofstream out(path);
-  check(out.good(), "cannot open CSV output file: " + path);
+  if (!out.good()) fail("cannot open CSV output file: " + path);
   write_csv(out);
 }
 
@@ -134,7 +134,7 @@ void Table::write_markdown(std::ostream& os) const {
 
 void Table::save_markdown(const std::string& path) const {
   std::ofstream out(path);
-  check(out.good(), "cannot open markdown output file: " + path);
+  if (!out.good()) fail("cannot open markdown output file: " + path);
   write_markdown(out);
 }
 

@@ -1397,6 +1397,26 @@ void launch_bsp(Session& s, bool local_agg_enabled) {
           std::vector<std::int64_t> basis(n_slots, 0);
           CrashCheckpoint ck = CrashCheckpoint::make(s);
 
+          // Non-leaders stream slots to their machine leader; leaders /
+          // direct workers hold gradients until the gather completes.
+          std::function<void(std::size_t)> on_slot;
+          if (local_agg_enabled && !is_leader) {
+            on_slot = [&](std::size_t slot) {
+              Packet pkt;
+              pkt.tag = kTagLocalGrad;
+              pkt.a = rank;
+              pkt.b = static_cast<std::int64_t>(slot);
+              pkt.wire_bytes = s.wl.slot_wire_bytes(slot);
+              if (s.wl.functional()) {
+                pkt.emplace_payload().tensors.push_back(
+                    s.wl.grad_slot(rank, slot));
+              }
+              s.network->send(self, wep, leader_ep, std::move(pkt));
+            };
+          }
+          // Per-slot payload snapshots for the leader's peer broadcast.
+          std::vector<net::PayloadHandle> bcast;
+
           for (std::int64_t it = 0; it < iters; ++it) {
             if (s.fault_plan.has_crashes() &&
                 s.crash_pending(rank, self.now())) {
@@ -1406,23 +1426,6 @@ void launch_bsp(Session& s, bool local_agg_enabled) {
             const double epoch = s.epoch_of(it);
             const double lr = s.lr_at(epoch);
 
-            // Non-leaders stream slots to their machine leader; leaders /
-            // direct workers hold gradients until the gather completes.
-            std::function<void(std::size_t)> on_slot;
-            if (local_agg_enabled && !is_leader) {
-              on_slot = [&](std::size_t slot) {
-                Packet pkt;
-                pkt.tag = kTagLocalGrad;
-                pkt.a = rank;
-                pkt.b = static_cast<std::int64_t>(slot);
-                pkt.wire_bytes = s.wl.slot_wire_bytes(slot);
-                if (s.wl.functional()) {
-                  pkt.emplace_payload().tensors.push_back(
-                      s.wl.grad_slot(rank, slot));
-                }
-                s.network->send(self, wep, leader_ep, std::move(pkt));
-              };
-            }
             const double loss =
                 compute_iteration(s, self, rank, rng, wm, on_slot);
 
@@ -1460,11 +1463,11 @@ void launch_bsp(Session& s, bool local_agg_enabled) {
 
               if (local_agg_enabled && peers.size() > 1) {
                 PhaseTimer t(self, wm, Phase::local_agg);
-                // Per-slot payload snapshots shared across the peer
-                // broadcast: the leader's params don't change while this
-                // double loop yields in send(), so the first peer's
-                // snapshot serves every peer.
-                std::vector<net::PayloadHandle> bcast(n_slots);
+                // Snapshots are shared across the peer broadcast: the
+                // leader's params don't change while this double loop
+                // yields in send(), so the first peer's snapshot serves
+                // every peer.
+                bcast.assign(n_slots, nullptr);
                 for (int peer : peers) {
                   if (peer == rank) continue;
                   for (std::size_t slot = 0; slot < n_slots; ++slot) {
@@ -1487,6 +1490,7 @@ void launch_bsp(Session& s, bool local_agg_enabled) {
                         std::move(pkt));
                   }
                 }
+                bcast.clear();  // drop the snapshots, keep the storage
               }
             } else {
               // Non-leader: wait for the leader's local broadcast.

@@ -34,8 +34,8 @@ double parse_double(const std::string& v, const std::string& what) {
   try {
     std::size_t pos = 0;
     const double out = std::stod(v, &pos);
-    common::check(pos == v.size(),
-                  "failures: trailing characters in " + what + ": " + v);
+    if (pos != v.size())
+      common::fail("failures: trailing characters in " + what + ": " + v);
     return out;
   } catch (const std::invalid_argument&) {
     common::fail("failures: not a number in " + what + ": " + v);
@@ -47,8 +47,8 @@ double parse_double(const std::string& v, const std::string& what) {
 int parse_int(const std::string& v, const std::string& what) {
   const double d = parse_double(v, what);
   const int i = static_cast<int>(d);
-  common::check(static_cast<double>(i) == d,
-                "failures: expected an integer in " + what + ": " + v);
+  if (static_cast<double>(i) != d)
+    common::fail("failures: expected an integer in " + what + ": " + v);
   return i;
 }
 
@@ -69,9 +69,10 @@ void parse_failures(const common::IniConfig& ini, TrainConfig& cfg) {
   for (const std::string& entry :
        split_list(ini.get("failures", "slow_ranks", ""), ',')) {
     const auto fields = split_list(entry, ':');
-    common::check(fields.size() == 2,
-                  "failures: slow_ranks entries are rank:factor, got: " +
-                      entry);
+    if (fields.size() != 2) {
+      common::fail("failures: slow_ranks entries are rank:factor, got: " +
+                   entry);
+    }
     fc.slow_ranks.emplace_back(parse_int(fields[0], "slow_ranks"),
                                parse_double(fields[1], "slow_ranks"));
   }
@@ -93,11 +94,12 @@ void parse_failures(const common::IniConfig& ini, TrainConfig& cfg) {
   for (const std::string& entry :
        split_list(ini.get("failures", "link_windows", ""), ',')) {
     const auto fields = split_list(entry, ':');
-    common::check(
-        fields.size() == 4 || fields.size() == 5,
-        "failures: link_windows entries are "
-        "machine:start:end:bw_mult[:lat_mult], got: " +
-            entry);
+    if (fields.size() != 4 && fields.size() != 5) {
+      common::fail(
+          "failures: link_windows entries are "
+          "machine:start:end:bw_mult[:lat_mult], got: " +
+          entry);
+    }
     faults::LinkWindow w;
     w.machine = parse_int(fields[0], "link_windows");
     w.start = parse_double(fields[1], "link_windows");
@@ -114,9 +116,10 @@ void parse_failures(const common::IniConfig& ini, TrainConfig& cfg) {
   for (const std::string& entry :
        split_list(ini.get("failures", "crashes", ""), ',')) {
     const auto fields = split_list(entry, ':');
-    common::check(fields.size() == 3,
-                  "failures: crashes entries are rank:at:downtime, got: " +
-                      entry);
+    if (fields.size() != 3) {
+      common::fail("failures: crashes entries are rank:at:downtime, got: " +
+                   entry);
+    }
     fc.crashes.push_back(faults::Crash{
         parse_int(fields[0], "crashes"), parse_double(fields[1], "crashes"),
         parse_double(fields[2], "crashes")});
@@ -134,8 +137,8 @@ void parse_failures(const common::IniConfig& ini, TrainConfig& cfg) {
   for (const std::string& entry :
        split_list(ini.get("failures", "ps_crashes", ""), ',')) {
     const auto fields = split_list(entry, ':');
-    common::check(fields.size() == 2,
-                  "failures: ps_crashes entries are shard:at, got: " + entry);
+    if (fields.size() != 2)
+      common::fail("failures: ps_crashes entries are shard:at, got: " + entry);
     fc.ps_crashes.push_back(faults::PsCrash{
         parse_int(fields[0], "ps_crashes"),
         parse_double(fields[1], "ps_crashes")});
@@ -275,8 +278,8 @@ void validate_experiment_ini(const common::IniConfig& ini) {
       common::fail("unknown section [" + section + "]");
     }
     for (const std::string& key : ini.keys(section)) {
-      common::check(experiment_ini_known(section, key),
-                    section + ": unknown key '" + key + "'");
+      if (!experiment_ini_known(section, key))
+        common::fail(section + ": unknown key '" + key + "'");
     }
   }
 }

@@ -47,9 +47,10 @@ void Ledger::release(int rank, Category c, std::uint64_t bytes, double now) {
   if (bytes == 0) return;
   RankUsage& u = ranks_[static_cast<std::size_t>(rank)];
   const int ci = static_cast<int>(c);
-  common::check(u.current[ci] >= bytes,
-                std::string("memory::Ledger::release: underflow in ") +
-                    category_name(c));
+  if (u.current[ci] < bytes) {
+    common::fail(std::string("memory::Ledger::release: underflow in ") +
+                 category_name(c));
+  }
   u.current[ci] -= bytes;
   u.current_total -= bytes;
   if (hook_) hook_(rank, now, u.current_total);

@@ -197,9 +197,10 @@ MetricRegistry::Entry& MetricRegistry::resolve(const std::string& name,
   const std::string key = series_key(name, canon);
   if (const auto it = index_.find(key); it != index_.end()) {
     Entry& e = entries_[it->second];
-    common::check(e.kind == kind,
-                  "MetricRegistry: '" + name + labels_to_string(canon) +
-                      "' already registered as " + metric_kind_name(e.kind));
+    if (e.kind != kind) {
+      common::fail("MetricRegistry: '" + name + labels_to_string(canon) +
+                   "' already registered as " + metric_kind_name(e.kind));
+    }
     return e;
   }
   Entry e;
@@ -308,10 +309,10 @@ void MetricRegistry::write_jsonl(std::ostream& os) const {
 
 void MetricRegistry::save_jsonl(const std::string& path) const {
   std::ofstream out(path);
-  common::check(out.good(), "MetricRegistry: cannot open " + path);
+  if (!out.good()) common::fail("MetricRegistry: cannot open " + path);
   write_jsonl(out);
   out.flush();
-  common::check(out.good(), "MetricRegistry: write failed for " + path);
+  if (!out.good()) common::fail("MetricRegistry: write failed for " + path);
 }
 
 common::Table MetricRegistry::summary_table(const std::string& title) const {

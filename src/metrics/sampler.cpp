@@ -82,10 +82,10 @@ void TimeSeriesSampler::write_csv(std::ostream& os) const {
 
 void TimeSeriesSampler::save_csv(const std::string& path) const {
   std::ofstream out(path);
-  common::check(out.good(), "TimeSeriesSampler: cannot open " + path);
+  if (!out.good()) common::fail("TimeSeriesSampler: cannot open " + path);
   write_csv(out);
   out.flush();
-  common::check(out.good(), "TimeSeriesSampler: write failed for " + path);
+  if (!out.good()) common::fail("TimeSeriesSampler: write failed for " + path);
 }
 
 }  // namespace dt::metrics

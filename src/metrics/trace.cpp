@@ -133,7 +133,7 @@ void TraceLog::save(const std::string& path) const {
   }
   write_chrome_json(out);
   out.flush();
-  common::check(out.good(), "TraceLog: write failed for " + path);
+  if (!out.good()) common::fail("TraceLog: write failed for " + path);
 }
 
 }  // namespace dt::metrics

@@ -20,11 +20,13 @@ Network::Network(runtime::SimEngine& engine, ClusterSpec spec)
 int Network::add_endpoint(int machine, std::string name) {
   common::check(machine >= 0 && machine < spec_.num_machines,
                 "Network::add_endpoint: bad machine index");
+  const int id = num_endpoints();
   Endpoint ep;
   ep.machine = machine;
-  ep.name = std::move(name);
+  ep.name = name.empty() ? "ep" + std::to_string(id) : std::move(name);
   endpoints_.push_back(std::move(ep));
-  return static_cast<int>(endpoints_.size()) - 1;
+  mailboxes_.add();
+  return id;
 }
 
 void Network::bind(int endpoint_id, runtime::Process& proc) {
@@ -46,12 +48,12 @@ int Network::machine_of(int endpoint_id) const {
 }
 
 std::size_t Network::queue_depth(int endpoint_id) const {
-  return endpoint(endpoint_id).queue.size();
+  (void)endpoint(endpoint_id);  // validates the id
+  return mailboxes_.size(endpoint_id);
 }
 
-std::string Network::endpoint_name(int endpoint_id) const {
-  const Endpoint& ep = endpoint(endpoint_id);
-  return ep.name.empty() ? "ep" + std::to_string(endpoint_id) : ep.name;
+const std::string& Network::endpoint_name(int endpoint_id) const {
+  return endpoint(endpoint_id).name;
 }
 
 void Network::set_metrics(metrics::MetricRegistry* registry) {
@@ -210,17 +212,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
     p.src_endpoint = src_endpoint;
     p.sent_at = now;
     p.arrival = arr;
-    // Insert keeping the queue sorted by arrival (stable for equal times).
-    // Fast path: arrivals are usually non-decreasing, so the common case is
-    // an append — equal-arrival FIFO order matches upper_bound placement.
-    if (dst.queue.empty() || dst.queue.back().arrival <= arr) {
-      dst.queue.push_back(std::move(p));
-    } else {
-      auto it = std::upper_bound(
-          dst.queue.begin(), dst.queue.end(), arr,
-          [](double a, const Packet& q) { return a < q.arrival; });
-      dst.queue.insert(it, std::move(p));
-    }
+    mailboxes_.insert(dst_endpoint, std::move(p));
     if (dst.owner != nullptr && dst.owner != &self) {
       engine_.wake(*dst.owner, arr);
     }
@@ -235,9 +227,8 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
 }
 
 std::size_t Network::drain(int endpoint_id) {
-  Endpoint& ep = endpoint(endpoint_id);
-  const std::size_t dropped = ep.queue.size();
-  ep.queue.clear();
+  (void)endpoint(endpoint_id);  // validates the id
+  const std::size_t dropped = mailboxes_.clear(endpoint_id);
   if (in_flight_ != nullptr && dropped > 0) {
     in_flight_->add(-static_cast<double>(dropped));
   }
@@ -266,30 +257,28 @@ void Network::transfer(runtime::Process& self, int src_endpoint,
 
 bool Network::poll(const runtime::Process& self, int endpoint_id,
                    int tag) const {
-  const Endpoint& ep = endpoint(endpoint_id);
-  const double now = self.now();
-  for (const Packet& p : ep.queue) {
-    if (p.arrival > now) break;
-    if (tag == kAnyTag || p.tag == tag) return true;
-  }
-  return false;
+  (void)endpoint(endpoint_id);  // validates the id
+  const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
+  return s != Mailboxes::kNone && mailboxes_.at(s).arrival <= self.now();
 }
 
 std::optional<Packet> Network::try_recv(runtime::Process& self,
                                         int endpoint_id, int tag) {
   Endpoint& ep = endpoint(endpoint_id);
   common::check(ep.owner == &self, "Network::try_recv by non-owner process");
-  const double now = self.now();
-  for (auto it = ep.queue.begin(); it != ep.queue.end(); ++it) {
-    if (it->arrival > now) break;
-    if (tag == kAnyTag || it->tag == tag) {
-      Packet out = std::move(*it);
-      ep.queue.erase(it);
-      if (in_flight_ != nullptr) in_flight_->add(-1.0);
-      return out;
-    }
+  // The queue is sorted by arrival, so the earliest matching packet is the
+  // only candidate: deliverable iff it has already landed.
+  const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
+  if (s == Mailboxes::kNone || mailboxes_.at(s).arrival > self.now()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (in_flight_ != nullptr) in_flight_->add(-1.0);
+  return mailboxes_.take(endpoint_id, s);
+}
+
+double Network::earliest_arrival(int endpoint_id, int tag) const {
+  const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
+  return s == Mailboxes::kNone ? -1.0 : mailboxes_.at(s).arrival;
 }
 
 Packet Network::recv(runtime::Process& self, int endpoint_id, int tag) {
@@ -299,13 +288,7 @@ Packet Network::recv(runtime::Process& self, int endpoint_id, int tag) {
     if (auto pkt = try_recv(self, endpoint_id, tag)) return std::move(*pkt);
     // Earliest matching in-flight packet, if any: sleep until it lands but
     // stay wakeable in case an earlier one is sent meanwhile.
-    double earliest = -1.0;
-    for (const Packet& p : ep.queue) {
-      if (tag == kAnyTag || p.tag == tag) {
-        earliest = p.arrival;
-        break;
-      }
-    }
+    const double earliest = earliest_arrival(endpoint_id, tag);
     if (earliest >= 0.0) {
       self.wait_event_until(earliest);
     } else {
@@ -324,13 +307,7 @@ std::optional<Packet> Network::recv_until(runtime::Process& self,
     if (self.now() >= deadline) return std::nullopt;
     // Sleep until the earliest matching in-flight arrival or the deadline,
     // whichever comes first; stay wakeable for earlier sends meanwhile.
-    double earliest = -1.0;
-    for (const Packet& p : ep.queue) {
-      if (tag == kAnyTag || p.tag == tag) {
-        earliest = p.arrival;
-        break;
-      }
-    }
+    const double earliest = earliest_arrival(endpoint_id, tag);
     const double until =
         earliest >= 0.0 ? std::min(earliest, deadline) : deadline;
     self.wait_event_until(until);

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "faults/faults.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/span_sink.hpp"
+#include "net/mailbox.hpp"
 #include "net/packet.hpp"
 #include "runtime/sim.hpp"
 
@@ -63,8 +63,9 @@ class Network {
  public:
   Network(runtime::SimEngine& engine, ClusterSpec spec);
 
-  /// Creates a mailbox pinned to `machine`. Endpoints must be created before
-  /// the simulation starts exchanging traffic through them.
+  /// Creates a mailbox pinned to `machine`; an empty `name` becomes
+  /// "ep<id>". Endpoints must be created before the simulation starts
+  /// exchanging traffic through them.
   int add_endpoint(int machine, std::string name = {});
 
   /// Declares `proc` the owner (receiver) of `endpoint`; recv/try_recv may
@@ -155,22 +156,26 @@ class Network {
   [[nodiscard]] std::size_t queue_depth(int endpoint) const;
 
   /// Endpoint display name ("worker3", "ps1"; "ep<id>" when unnamed).
-  [[nodiscard]] std::string endpoint_name(int endpoint) const;
+  [[nodiscard]] const std::string& endpoint_name(int endpoint) const;
 
  private:
   struct Endpoint {
     int machine = 0;
     std::string name;
     runtime::Process* owner = nullptr;
-    std::deque<Packet> queue;  // kept sorted by (arrival, fifo order)
   };
 
   Endpoint& endpoint(int id);
   const Endpoint& endpoint(int id) const;
 
+  /// Arrival time of the earliest packet queued at `endpoint_id` matching
+  /// `tag` (delivered or in flight), or -1 when there is none.
+  [[nodiscard]] double earliest_arrival(int endpoint_id, int tag) const;
+
   runtime::SimEngine& engine_;
   ClusterSpec spec_;
   std::vector<Endpoint> endpoints_;
+  Mailboxes mailboxes_;             // per endpoint, same ids
   std::vector<double> tx_busy_;     // per machine
   std::vector<double> rx_busy_;     // per machine
   std::vector<double> bus_busy_;    // per machine (intra-machine transfers)

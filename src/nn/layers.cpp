@@ -26,9 +26,10 @@ void Dense::init(common::Rng& rng) {
 }
 
 const Tensor& Dense::forward(const Tensor& input) {
-  common::check(input.rank() == 2 && input.dim(1) == in_,
-                "Dense(" + name_ + "): bad input shape " +
-                    input.shape_string());
+  if (input.rank() != 2 || input.dim(1) != in_) {
+    common::fail("Dense(" + name_ + "): bad input shape " +
+                 input.shape_string());
+  }
   input_ = input;
   output_.ensure_shape({input.dim(0), out_});
   tensor::matmul(input, weight_.value, output_);
@@ -37,9 +38,10 @@ const Tensor& Dense::forward(const Tensor& input) {
 }
 
 const Tensor& Dense::backward(const Tensor& grad_output) {
-  common::check(grad_output.rank() == 2 && grad_output.dim(1) == out_ &&
-                    grad_output.dim(0) == input_.dim(0),
-                "Dense(" + name_ + "): bad grad shape");
+  if (grad_output.rank() != 2 || grad_output.dim(1) != out_ ||
+      grad_output.dim(0) != input_.dim(0)) {
+    common::fail("Dense(" + name_ + "): bad grad shape");
+  }
   tensor::matmul_tn(input_, grad_output, weight_.grad, /*accumulate=*/true);
   tensor::sum_rows(grad_output, bias_.grad.data());
   grad_in_.ensure_shape({input_.dim(0), in_});
@@ -131,9 +133,10 @@ void col2im(const float* cols, float* in_grad, std::int64_t c, std::int64_t h,
 }  // namespace
 
 const Tensor& Conv2d::forward(const Tensor& input) {
-  common::check(input.rank() == 4 && input.dim(1) == in_c_,
-                "Conv2d(" + name_ + "): bad input shape " +
-                    input.shape_string());
+  if (input.rank() != 4 || input.dim(1) != in_c_) {
+    common::fail("Conv2d(" + name_ + "): bad input shape " +
+                 input.shape_string());
+  }
   input_ = input;
   batch_ = input.dim(0);
   h_ = input.dim(2);
@@ -165,8 +168,8 @@ const Tensor& Conv2d::forward(const Tensor& input) {
 }
 
 const Tensor& Conv2d::backward(const Tensor& grad_output) {
-  common::check(grad_output.shape() == output_.shape(),
-                "Conv2d(" + name_ + "): bad grad shape");
+  if (grad_output.shape() != output_.shape())
+    common::fail("Conv2d(" + name_ + "): bad grad shape");
   const std::int64_t col_rows = in_c_ * k_ * k_;
   const std::int64_t ohow = oh_ * ow_;
   grad_in_.ensure_shape(input_.shape());
@@ -216,8 +219,8 @@ void BatchNorm1d::init(common::Rng& /*rng*/) {
 }
 
 const Tensor& BatchNorm1d::forward(const Tensor& input) {
-  common::check(input.rank() == 2 && input.dim(1) == features_,
-                "BatchNorm1d(" + name_ + "): bad input shape");
+  if (input.rank() != 2 || input.dim(1) != features_)
+    common::fail("BatchNorm1d(" + name_ + "): bad input shape");
   const std::int64_t m = input.dim(0);
   output_.ensure_shape(input.shape());
   xhat_.ensure_shape(input.shape());
@@ -257,8 +260,8 @@ const Tensor& BatchNorm1d::forward(const Tensor& input) {
 }
 
 const Tensor& BatchNorm1d::backward(const Tensor& grad_output) {
-  common::check(grad_output.shape() == output_.shape(),
-                "BatchNorm1d(" + name_ + "): bad grad shape");
+  if (grad_output.shape() != output_.shape())
+    common::fail("BatchNorm1d(" + name_ + "): bad grad shape");
   const std::int64_t m = grad_output.dim(0);
   grad_in_.ensure_shape(grad_output.shape());
   const auto mf = static_cast<float>(m);
@@ -323,9 +326,8 @@ const Tensor& Dropout::forward(const Tensor& input) {
 }
 
 const Tensor& Dropout::backward(const Tensor& grad_output) {
-  common::check(
-      grad_output.numel() == static_cast<std::int64_t>(mask_.size()),
-      "Dropout(" + name_ + "): bad grad shape");
+  if (grad_output.numel() != static_cast<std::int64_t>(mask_.size()))
+    common::fail("Dropout(" + name_ + "): bad grad shape");
   grad_in_ = grad_output;
   auto g = grad_in_.data();
   for (std::size_t i = 0; i < mask_.size(); ++i) g[i] *= mask_[i];

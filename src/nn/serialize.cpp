@@ -77,32 +77,35 @@ void write_body(const Sequential& model, std::ostream& os) {
 void read_body(Sequential& model, std::istream& is) {
   const auto count = read_pod<std::uint32_t>(is);
   const auto& slots = model.slots();
-  common::check(count == slots.size(),
-                "checkpoint: slot count mismatch (checkpoint " +
-                    std::to_string(count) + ", model " +
-                    std::to_string(slots.size()) + ")");
+  if (count != slots.size()) {
+    common::fail("checkpoint: slot count mismatch (checkpoint " +
+                 std::to_string(count) + ", model " +
+                 std::to_string(slots.size()) + ")");
+  }
   for (ParamSlot* slot : slots) {
     const auto name_len = read_pod<std::uint32_t>(is);
     common::check(name_len < 4096, "checkpoint: implausible name length");
     std::string name(name_len, '\0');
     is.read(name.data(), name_len);
     common::check(is.good(), "checkpoint: truncated name");
-    common::check(name == slot->name,
-                  "checkpoint: slot name mismatch: expected '" + slot->name +
-                      "', found '" + name + "'");
+    if (name != slot->name) {
+      common::fail("checkpoint: slot name mismatch: expected '" + slot->name +
+                   "', found '" + name + "'");
+    }
     const auto rank = read_pod<std::uint32_t>(is);
-    common::check(rank == slot->value.rank(),
-                  "checkpoint: rank mismatch for " + name);
+    if (rank != slot->value.rank())
+      common::fail("checkpoint: rank mismatch for " + name);
     for (std::size_t d = 0; d < rank; ++d) {
       const auto dim = read_pod<std::int64_t>(is);
-      common::check(dim == slot->value.shape()[d],
-                    "checkpoint: shape mismatch for " + name);
+      if (dim != slot->value.shape()[d])
+        common::fail("checkpoint: shape mismatch for " + name);
     }
     is.read(reinterpret_cast<char*>(slot->value.data().data()),
             static_cast<std::streamsize>(slot->value.numel() *
                                          static_cast<std::int64_t>(
                                              sizeof(float))));
-    common::check(is.good(), "checkpoint: truncated tensor data for " + name);
+    if (!is.good())
+      common::fail("checkpoint: truncated tensor data for " + name);
   }
 }
 
@@ -120,7 +123,7 @@ void save_checkpoint(const Sequential& model, std::ostream& os) {
 
 void save_checkpoint(const Sequential& model, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  common::check(out.good(), "checkpoint: cannot open " + path);
+  if (!out.good()) common::fail("checkpoint: cannot open " + path);
   save_checkpoint(model, out);
 }
 
@@ -152,7 +155,7 @@ void load_checkpoint(Sequential& model, std::istream& is) {
 
 void load_checkpoint(Sequential& model, const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  common::check(in.good(), "checkpoint: cannot open " + path);
+  if (!in.good()) common::fail("checkpoint: cannot open " + path);
   load_checkpoint(model, in);
 }
 

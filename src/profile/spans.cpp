@@ -121,7 +121,7 @@ void SpanLog::save_jsonl(const std::string& path) const {
   if (!out.good()) common::fail("SpanLog: cannot open " + path);
   write_jsonl(out);
   out.flush();
-  common::check(out.good(), "SpanLog: write failed for " + path);
+  if (!out.good()) common::fail("SpanLog: write failed for " + path);
 }
 
 void SpanLog::write_chrome_json(std::ostream& os) const {
@@ -163,7 +163,7 @@ void SpanLog::save_chrome_json(const std::string& path) const {
   if (!out.good()) common::fail("SpanLog: cannot open " + path);
   write_chrome_json(out);
   out.flush();
-  common::check(out.good(), "SpanLog: write failed for " + path);
+  if (!out.good()) common::fail("SpanLog: write failed for " + path);
 }
 
 }  // namespace dt::profile

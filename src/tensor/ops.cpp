@@ -109,7 +109,7 @@ void pack_panel(const float* src, std::int64_t ld, std::int64_t j0,
 }
 
 void check_2d(const Tensor& t, const char* name) {
-  common::check(t.rank() == 2, std::string("matmul: ") + name + " not 2-D");
+  if (t.rank() != 2) common::fail(std::string("matmul: ") + name + " not 2-D");
 }
 
 }  // namespace

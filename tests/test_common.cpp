@@ -218,5 +218,28 @@ TEST(Check, ThrowsWithLocation) {
 
 TEST(Check, PassesWhenTrue) { EXPECT_NO_THROW(check(true, "fine")); }
 
+TEST(Check, FailureTextIsCallerFileLineAndMessage) {
+  const int line = __LINE__ + 2;
+  try {
+    check(false, "boom");
+    FAIL() << "check did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string(__FILE__) + ":" + std::to_string(line) + ": boom");
+  }
+}
+
+TEST(Check, FormattedFailureKeepsTheSamePrefix) {
+  const std::string name = "w3";
+  const int line = __LINE__ + 2;
+  try {
+    fail("bad name " + name);
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), std::string(__FILE__) + ":" +
+                                         std::to_string(line) +
+                                         ": bad name w3");
+  }
+}
+
 }  // namespace
 }  // namespace dt::common

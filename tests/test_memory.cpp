@@ -68,6 +68,22 @@ TEST(MemoryLedger, ZeroByteOpsAreNoOpsAndUnderflowThrows) {
   EXPECT_THROW(led.release(0, Category::grads, 1, 1.0), common::Error);
 }
 
+TEST(MemoryLedger, UnderflowErrorNamesTheCategory) {
+  Ledger led;
+  led.reset(1);
+  led.alloc(0, Category::optimizer, 10, 0.0);
+  try {
+    led.release(0, Category::optimizer, 11, 1.0);
+    FAIL() << "release of 11 bytes from 10 did not throw";
+  } catch (const common::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ledger.cpp:"), std::string::npos) << what;
+    EXPECT_TRUE(
+        what.ends_with(": memory::Ledger::release: underflow in optimizer"))
+        << what;
+  }
+}
+
 TEST(MemoryLedger, HookObservesEveryTransition) {
   Ledger led;
   led.reset(1);

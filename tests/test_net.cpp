@@ -2,12 +2,14 @@
 // PS-bottleneck mechanism), FIFO per flow, tags, and the collectives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/collectives.hpp"
+#include "net/mailbox.hpp"
 #include "net/network.hpp"
 
 namespace dt::net {
@@ -237,6 +239,167 @@ TEST(Network, TryRecvAndPoll) {
   EXPECT_TRUE(early_empty);
   EXPECT_TRUE(poll_late);
   EXPECT_TRUE(late_found);
+}
+
+TEST(Network, OutOfOrderArrivalsAreDeliveredByArrivalThenSendOrder) {
+  // One process sends from a remote and a local endpoint with random sizes
+  // and pauses, so later sends often overtake earlier ones and zero-byte
+  // local sends at one instant tie. A blocking receiver, taking from the
+  // front while sends keep landing, must see (arrival, send order) order.
+  runtime::SimEngine engine;
+  Network net(engine, two_machine_spec());
+  const int rx = net.add_endpoint(0);
+  const int tx_remote = net.add_endpoint(1);
+  const int tx_local = net.add_endpoint(0);
+  const int n = 200;
+  std::vector<std::pair<double, std::int64_t>> got;
+  engine.spawn("rx", [&](runtime::Process& self) {
+    net.bind(rx, self);
+    for (int i = 0; i < n; ++i) {
+      const Packet p = net.recv(self, rx);
+      got.emplace_back(p.arrival, p.a);
+    }
+  });
+  engine.spawn("tx", [&](runtime::Process& self) {
+    net.bind(tx_remote, self);
+    common::Rng rng(99);
+    for (int i = 0; i < n; ++i) {
+      Packet p;
+      p.a = i;
+      const bool remote = rng.uniform() < 0.5;
+      p.wire_bytes = remote ? rng.uniform_u64(2'000'000) : 0;
+      net.send(self, remote ? tx_remote : tx_local, rx, std::move(p));
+      if (rng.uniform() < 0.3) self.advance(rng.uniform(0.0, 2e-3));
+    }
+  });
+  engine.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  const bool overtaken = std::adjacent_find(got.begin(), got.end(),
+                                            [](const auto& x, const auto& y) {
+                                              return y.second < x.second;
+                                            }) != got.end();
+  EXPECT_TRUE(overtaken) << "no send overtook an earlier one";
+  const bool tied = std::adjacent_find(got.begin(), got.end(),
+                                       [](const auto& x, const auto& y) {
+                                         return x.first == y.first;
+                                       }) != got.end();
+  EXPECT_TRUE(tied) << "no two packets arrived at the same instant";
+}
+
+TEST(Network, TagFilteredTryRecvTakesFromTheMiddle) {
+  runtime::SimEngine engine;
+  Network net(engine, two_machine_spec());
+  const int a = net.add_endpoint(0), b = net.add_endpoint(1);
+  std::vector<std::int64_t> order;
+  std::vector<std::size_t> depth;
+  engine.spawn("rx", [&](runtime::Process& self) {
+    net.bind(b, self);
+    self.advance(10.0);  // let every packet land
+    depth.push_back(net.queue_depth(b));
+    EXPECT_FALSE(net.try_recv(self, b, 9).has_value());
+    EXPECT_TRUE(net.poll(self, b, 3));
+    order.push_back(net.try_recv(self, b, 3)->a);
+    order.push_back(net.try_recv(self, b, 2)->a);
+    depth.push_back(net.queue_depth(b));
+    while (auto p = net.try_recv(self, b)) order.push_back(p->a);
+    depth.push_back(net.queue_depth(b));
+  });
+  engine.spawn("tx", [&](runtime::Process& self) {
+    net.bind(a, self);
+    const int tags[] = {1, 2, 1, 3, 2, 1};
+    for (int i = 0; i < 6; ++i) {
+      Packet p;
+      p.tag = tags[i];
+      p.a = i;
+      p.wire_bytes = 1000;
+      net.send(self, a, b, std::move(p));
+    }
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::int64_t>{3, 1, 0, 2, 4, 5}));
+  EXPECT_EQ(depth, (std::vector<std::size_t>{6, 4, 0}));
+}
+
+TEST(Network, MailboxIsReusedAfterDrain) {
+  // Take one packet (the mailbox head moves), drop the rest with drain,
+  // then the same mailbox must queue and deliver a new batch in order.
+  runtime::SimEngine engine;
+  Network net(engine, two_machine_spec());
+  const int a = net.add_endpoint(0), b = net.add_endpoint(1);
+  std::vector<std::int64_t> order;
+  std::size_t dropped = 0;
+  std::size_t depth_after_drain = 1;
+  engine.spawn("rx", [&](runtime::Process& self) {
+    net.bind(b, self);
+    order.push_back(net.recv(self, b).a);
+    self.advance(1.0);  // the rest of the first batch lands
+    dropped = net.drain(b);
+    depth_after_drain = net.queue_depth(b);
+    EXPECT_FALSE(net.try_recv(self, b).has_value());
+    for (int i = 0; i < 4; ++i) order.push_back(net.recv(self, b).a);
+  });
+  engine.spawn("tx", [&](runtime::Process& self) {
+    net.bind(a, self);
+    for (int batch = 0; batch < 2; ++batch) {
+      for (int i = 0; i < 4; ++i) {
+        Packet p;
+        p.a = 10 * batch + i;
+        p.wire_bytes = 1000;
+        net.send(self, a, b, std::move(p));
+      }
+      self.advance(2.0);
+    }
+  });
+  engine.run();
+  EXPECT_EQ(dropped, 3u);
+  EXPECT_EQ(depth_after_drain, 0u);
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 10, 11, 12, 13}));
+}
+
+TEST(Mailboxes, QueuesShareOnePoolAndKeepArrivalOrder) {
+  Mailboxes boxes;
+  const int a = boxes.add(), b = boxes.add();
+  const auto push = [&boxes](int box, std::int64_t id, double arrival,
+                             int tag = 0) {
+    Packet p;
+    p.a = id;
+    p.arrival = arrival;
+    p.tag = tag;
+    boxes.insert(box, std::move(p));
+  };
+  // Takes every packet of `box` in queue order.
+  const auto take_all = [&boxes](int box) {
+    std::vector<std::int64_t> out;
+    Mailboxes::Slot s;
+    while ((s = boxes.find(box, kAnyTag)) != Mailboxes::kNone) {
+      out.push_back(boxes.take(box, s).a);
+    }
+    return out;
+  };
+  push(a, 0, 1.0);
+  push(a, 1, 3.0);
+  push(b, 100, 2.0);
+  push(a, 2, 2.0);  // between two queued packets
+  push(a, 3, 3.0);  // ties keep insertion order
+  push(a, 4, 0.5);  // before everything
+  push(a, 5, 2.0, 7);
+  EXPECT_EQ(boxes.size(a), 6u);
+  EXPECT_EQ(boxes.size(b), 1u);
+  const Mailboxes::Slot tagged = boxes.find(a, 7);
+  ASSERT_NE(tagged, Mailboxes::kNone);
+  EXPECT_EQ(boxes.take(a, tagged).a, 5);  // from the middle
+  EXPECT_EQ(boxes.find(a, 7), Mailboxes::kNone);
+  EXPECT_EQ(take_all(a), (std::vector<std::int64_t>{4, 0, 2, 1, 3}));
+  EXPECT_EQ(boxes.size(a), 0u);
+  // Freed slots are reused; the other queue is untouched throughout.
+  push(a, 6, 9.0);
+  push(a, 7, 8.0);
+  EXPECT_EQ(boxes.clear(a), 2u);
+  EXPECT_EQ(boxes.find(a, kAnyTag), Mailboxes::kNone);
+  push(a, 8, 1.0);
+  EXPECT_EQ(take_all(a), (std::vector<std::int64_t>{8}));
+  EXPECT_EQ(take_all(b), (std::vector<std::int64_t>{100}));
 }
 
 TEST(Network, RecvByNonOwnerThrows) {

@@ -103,6 +103,20 @@ TEST(Dense, RejectsWrongInputShape) {
   EXPECT_THROW(d.forward(x), common::Error);
 }
 
+TEST(Dense, WrongInputShapeErrorNamesLayerAndShape) {
+  Dense d("fc1", 4, 2);
+  Tensor x({3, 5});
+  try {
+    (void)d.forward(x);
+    FAIL() << "forward accepted a [3, 5] input";
+  } catch (const common::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layers.cpp:"), std::string::npos) << what;
+    EXPECT_TRUE(what.ends_with(": Dense(fc1): bad input shape [3, 5]"))
+        << what;
+  }
+}
+
 TEST(Conv2d, GradCheck) {
   common::Rng rng(4);
   Conv2d conv("c", 2, 3, 3, 1);
