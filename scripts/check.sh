@@ -37,6 +37,13 @@
 #                                    # test_memory and the committed
 #                                    # memory/throughput frontier campaign,
 #                                    # under AddressSanitizer
+#   scripts/check.sh observers       # observer-export smoke: the ctest
+#                                    # label `observers` (test_metrics,
+#                                    # test_registry, test_observability)
+#                                    # plus test_golden (byte pins of the
+#                                    # trace, CSV, JSONL and profiler
+#                                    # outputs), under AddressSanitizer +
+#                                    # UndefinedBehaviorSanitizer
 #
 # Sanitized builds go to build-<sanitizer>/ so they never pollute the plain
 # build tree.
@@ -111,6 +118,27 @@ if [[ "$SANITIZER" == "fsdp" ]]; then
   exit 0
 fi
 
+if [[ "$SANITIZER" == "observers" ]]; then
+  # Observer-export smoke: the string interner hands out string_view keys
+  # into its table and the exporters write through a hand-managed chunk
+  # buffer — exactly what ASan and UBSan catch. Own tree, since no other
+  # mode combines the two sanitizers. The flags go in CMAKE_CXX_FLAGS, not
+  # DT_SANITIZE: DT_SANITIZE also drops the tensor kernels' native -O3/FMA
+  # build, which changes float rounding, and test_golden's parameter hashes
+  # were captured with those kernels.
+  DIR=build-observers
+  SAN="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  cmake -B "$DIR" -S . -DDT_SANITIZE= \
+    "-DCMAKE_CXX_FLAGS=$SAN -fno-omit-frame-pointer" \
+    "-DCMAKE_EXE_LINKER_FLAGS=$SAN"
+  cmake --build "$DIR" -j "$(nproc)" \
+    --target test_metrics test_registry test_observability test_golden
+  ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" \
+    -L observers
+  "$DIR/tests/test_golden"
+  exit 0
+fi
+
 BUILD_DIR=build
 CMAKE_ARGS=()
 TEST_ARGS=()
@@ -128,7 +156,7 @@ if [[ -n "$SANITIZER" ]]; then
       TEST_ARGS+=(-R 'Sim|ThreadPool|Determinism|AllAlgosLearn')
       ;;
     *)
-      echo "usage: $0 [address|thread|undefined|tsan]" >&2
+      echo "usage: $0 [address|thread|undefined|tsan|faults|dssp|membership|fsdp|observers]" >&2
       exit 2
       ;;
   esac

@@ -14,6 +14,10 @@ namespace dt::campaign {
 
 namespace {
 
+// Escapes only quotes and backslashes; control characters pass through.
+// Deliberately not metrics::json_escape, which emits different bytes for
+// them: the aggregate files must stay byte-identical with the cache
+// records (cache.cpp) they are built from.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -14,6 +14,10 @@ namespace dt::campaign {
 
 namespace {
 
+// Escapes only quotes and backslashes; control characters pass through.
+// Deliberately not metrics::json_escape, which emits different bytes for
+// them: serialized records feed the cache fingerprints and the fnv64
+// integrity line, so a change here would invalidate every cached run.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -417,17 +417,21 @@ void Session::init_memory() {
     // Live per-rank gauges (and trace counters when tracing): registered
     // only when engaged, so other runs' metric dumps stay byte-identical.
     std::vector<metrics::Gauge*> gauges;
+    std::vector<std::string> names;  // trace counter names, built once
     gauges.reserve(static_cast<std::size_t>(cfg.num_workers));
+    names.reserve(static_cast<std::size_t>(cfg.num_workers));
     for (int r = 0; r < cfg.num_workers; ++r) {
       gauges.push_back(&registry.gauge(
           "mem.current_bytes", {{"worker", std::to_string(r)}}));
+      names.push_back("mem worker" + std::to_string(r));
     }
-    mem_ledger.set_hook([this, gauges = std::move(gauges)](
-                            int rank, double now, std::uint64_t current) {
+    mem_ledger.set_hook([this, gauges = std::move(gauges),
+                         names = std::move(names)](int rank, double now,
+                                                   std::uint64_t current) {
       gauges[static_cast<std::size_t>(rank)]->set(
           static_cast<double>(current));
       if (trace_) {
-        trace_->counter("memory", "mem worker" + std::to_string(rank), now,
+        trace_->counter("memory", names[static_cast<std::size_t>(rank)], now,
                         static_cast<double>(current));
       }
     });

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,12 +44,13 @@ class WorkerMetrics {
 
   /// Attaches a trace sink: every PhaseTimer interval is also recorded as
   /// a trace event on `track`.
-  void set_trace(TraceLog* trace, std::string track) {
+  void set_trace(TraceLog* trace, std::string_view track) {
     trace_ = trace;
-    track_ = std::move(track);
+    if (trace != nullptr) track_ = trace->intern(track);
   }
   [[nodiscard]] TraceLog* trace() const noexcept { return trace_; }
-  [[nodiscard]] const std::string& track() const noexcept { return track_; }
+  /// The trace's id of the track.
+  [[nodiscard]] TraceLog::Id track() const noexcept { return track_; }
 
   /// Attaches a profiler span sink (see metrics/span_sink.hpp): every
   /// PhaseTimer interval and account_window window is also emitted as a
@@ -103,7 +105,7 @@ class WorkerMetrics {
   TraceLog* trace_ = nullptr;
   SpanSink* spans_ = nullptr;
   int rank_ = 0;
-  std::string track_;
+  TraceLog::Id track_ = 0;
   Counter* iter_counter_ = nullptr;
   Counter* sample_counter_ = nullptr;
 };
@@ -118,8 +120,9 @@ class PhaseTimer {
     const double end = proc_.now();
     metrics_.accumulate(phase_, end - start_);
     if (metrics_.trace() != nullptr && end > start_) {
-      metrics_.trace()->record(metrics_.track(), phase_name(phase_), start_,
-                               end);
+      TraceLog& trace = *metrics_.trace();
+      trace.record(metrics_.track(), trace.intern(phase_name(phase_)), start_,
+                   end);
     }
     if (metrics_.spans() != nullptr && end > start_) {
       metrics_.spans()->on_phase(metrics_.rank(), metrics_.iterations(),

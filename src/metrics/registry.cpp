@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "metrics/writer.hpp"
 
 namespace dt::metrics {
 
@@ -29,38 +29,9 @@ std::string series_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  static const char* hex = "0123456789abcdef";
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          out += "\\u00";
-          out += hex[u >> 4];
-          out += hex[u & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Shortest-ish float formatting for JSON/tables (no trailing zeros).
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
+/// Shortest-ish float formatting for JSON/tables (no trailing zeros): what
+/// a precision-12 std::ostream prints.
+std::string num(double v) { return format_number(v, 12); }
 
 void write_labels_json(std::ostream& os, const Labels& labels) {
   os << "{";

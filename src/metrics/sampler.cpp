@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "metrics/trace.hpp"
+#include "metrics/writer.hpp"
 #include "runtime/sim.hpp"
 
 namespace dt::metrics {
@@ -27,9 +28,20 @@ void TimeSeriesSampler::attach(runtime::SimEngine& engine) {
       /*daemon=*/true);
 }
 
+void TimeSeriesSampler::set_trace(TraceLog* trace) {
+  trace_ = trace;
+  trace_names_.clear();
+  if (trace_ == nullptr) return;
+  trace_track_ = trace_->intern("metrics");
+  for (const std::string& c : columns_) {
+    trace_names_.push_back(trace_->intern(c));
+  }
+}
+
 void TimeSeriesSampler::sample(double t) {
   Row row;
   row.t = t;
+  row.begin = values_.size();
   // Scalars are visited in registry creation order, which only ever
   // extends — so the running index lines up with columns_ and new series
   // append new columns.
@@ -38,45 +50,51 @@ void TimeSeriesSampler::sample(double t) {
                                 MetricKind /*kind*/, double value) {
     if (ci == columns_.size()) {
       columns_.push_back(name + labels_to_string(labels));
+      if (trace_ != nullptr) {
+        trace_names_.push_back(trace_->intern(columns_.back()));
+      }
     }
-    row.values.push_back(value);
+    values_.push_back(value);
     if (trace_ != nullptr) {
-      trace_->counter("metrics", columns_[ci], t, value);
+      trace_->counter(trace_track_, trace_names_[ci], t, value);
     }
     ++ci;
   });
-  rows_.push_back(std::move(row));
+  row.width = ci;
+  rows_.push_back(row);
 }
 
 double TimeSeriesSampler::at(std::size_t row, std::size_t col) const {
   const Row& r = rows_.at(row);
   common::check(col < columns_.size(), "TimeSeriesSampler: bad column");
-  return col < r.values.size() ? r.values[col] : 0.0;
+  return col < r.width ? values_[r.begin + col] : 0.0;
 }
 
 void TimeSeriesSampler::write_csv(std::ostream& os) const {
-  os << "time";
+  ChunkWriter w(os);
+  w.put("time");
   for (const auto& c : columns_) {
-    os << ',';
+    w.put(',');
     // RFC-4180-ish quoting: column names can contain commas via labels.
     if (c.find_first_of(",\"") != std::string::npos) {
-      os << '"';
+      w.put('"');
       for (char ch : c) {
-        if (ch == '"') os << '"';
-        os << ch;
+        if (ch == '"') w.put('"');
+        w.put(ch);
       }
-      os << '"';
+      w.put('"');
     } else {
-      os << c;
+      w.put(c);
     }
   }
-  os << '\n';
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    os << rows_[r].t;
+  w.put('\n');
+  for (const Row& r : rows_) {
+    w.number(r.t);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      os << ',' << at(r, c);
+      w.put(',');
+      w.number(c < r.width ? values_[r.begin + c] : 0.0);
     }
-    os << '\n';
+    w.put('\n');
   }
 }
 

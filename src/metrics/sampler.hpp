@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -39,7 +40,7 @@ class TimeSeriesSampler {
 
   /// Also mirrors every sample as Chrome-tracing counter ("C") events on
   /// `trace`, so Perfetto plots the series alongside the phase slices.
-  void set_trace(TraceLog* trace) noexcept { trace_ = trace; }
+  void set_trace(TraceLog* trace);
 
   /// Takes one sample at virtual time `t` immediately (the daemon calls
   /// this; Session calls it once more at end-of-run so the final state is
@@ -59,22 +60,30 @@ class TimeSeriesSampler {
     return rows_.at(row).t;
   }
 
-  /// CSV: header "time,<col>,...", one row per tick.
+  /// CSV: header "time,<col>,...", one row per tick. Numbers print as a
+  /// default-precision std::ostream would print them (metrics/writer.hpp).
   void write_csv(std::ostream& os) const;
   /// Writes CSV to `path`; throws (with the path) on open/write failure.
   void save_csv(const std::string& path) const;
 
  private:
+  // A row's values are values_[begin, begin + width), indexed by column;
+  // width is the column count at that tick, so early rows may be short.
+  // One flat array keeps sampling free of per-row allocations.
   struct Row {
     double t = 0.0;
-    std::vector<double> values;  // indexed by column; may be short
+    std::size_t begin = 0;
+    std::size_t width = 0;
   };
 
   const MetricRegistry& registry_;
   double period_;
   TraceLog* trace_ = nullptr;
+  std::uint32_t trace_track_ = 0;          // interned "metrics"
+  std::vector<std::uint32_t> trace_names_;  // interned columns_
   std::vector<std::string> columns_;
   std::vector<Row> rows_;
+  std::vector<double> values_;
 };
 
 }  // namespace dt::metrics

@@ -1,127 +1,130 @@
 #include "metrics/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
 #include <ostream>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "metrics/writer.hpp"
 
 namespace dt::metrics {
 
-void TraceLog::record(const std::string& track, const std::string& name,
-                      double start, double end) {
+TraceLog::Id TraceLog::intern(std::string_view s) {
+  if (const auto it = index_.find(s); it != index_.end()) return it->second;
+  const auto id = static_cast<Id>(strings_.size());
+  strings_.emplace_back(s);
+  index_.emplace(strings_.back(), id);
+  return id;
+}
+
+void TraceLog::record(Id track, Id name, double start, double end) {
   common::check(end >= start, "TraceLog: negative-duration event");
   events_.push_back(Event{track, name, start, end});
 }
 
-void TraceLog::counter(const std::string& track, const std::string& name,
-                       double t, double value) {
-  counter_events_.push_back(CounterEvent{track, name, t, value});
-}
-
-void TraceLog::instant(const std::string& track, const std::string& name,
-                       double t) {
-  instant_events_.push_back(InstantEvent{track, name, t});
-}
-
-void TraceLog::flow(const std::string& src_track, const std::string& dst_track,
-                    const std::string& name, double sent, double arrival,
+void TraceLog::flow(std::string_view src_track, std::string_view dst_track,
+                    std::string_view name, double sent, double arrival,
                     std::uint64_t id) {
   common::check(arrival >= sent, "TraceLog: flow arrives before it is sent");
-  flow_events_.push_back(
-      FlowEvent{src_track, dst_track, name, sent, arrival, id});
+  flow_events_.push_back(FlowEvent{intern(src_track), intern(dst_track),
+                                   intern(name), sent, arrival, id});
 }
-
-namespace {
-// Full JSON string escaping: quotes, backslashes, and control characters
-// (events and track names may carry user-provided strings from configs).
-std::string escape(const std::string& s) {
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          out += "\\u00";
-          out += hex[u >> 4];
-          out += hex[u & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
 
 void TraceLog::write_chrome_json(std::ostream& os) const {
-  std::map<std::string, int> tids;
-  auto tid_of = [&tids](const std::string& track) {
-    return tids.emplace(track, static_cast<int>(tids.size())).first->second;
+  // Tids by first appearance in scan order (see the header).
+  std::vector<int> tid(strings_.size(), -1);
+  std::vector<Id> tracks;
+  auto see = [&tid, &tracks](Id track) {
+    if (tid[track] < 0) {
+      tid[track] = static_cast<int>(tracks.size());
+      tracks.push_back(track);
+    }
   };
-  for (const Event& e : events_) tid_of(e.track);
-  for (const CounterEvent& e : counter_events_) tid_of(e.track);
+  for (const Event& e : events_) see(e.track);
+  for (const CounterEvent& e : counter_events_) see(e.track);
   for (const FlowEvent& e : flow_events_) {
-    tid_of(e.src_track);
-    tid_of(e.dst_track);
+    see(e.src_track);
+    see(e.dst_track);
   }
-  for (const InstantEvent& e : instant_events_) tid_of(e.track);
+  for (const InstantEvent& e : instant_events_) see(e.track);
+  std::sort(tracks.begin(), tracks.end(),
+            [this](Id a, Id b) { return strings_[a] < strings_[b]; });
 
-  os << "[\n";
+  // Each distinct string is escaped once, not once per event.
+  std::vector<std::string> text;
+  text.reserve(strings_.size());
+  for (const std::string& s : strings_) text.push_back(json_escape(s));
+
+  ChunkWriter w(os);
+  w.put("[\n");
   bool first = true;
-  auto sep = [&os, &first] {
-    if (!first) os << ",\n";
+  auto sep = [&w, &first] {
+    if (!first) w.put(",\n");
     first = false;
+  };
+  auto head = [&w, &sep, &tid, &text](std::string_view prefix, Id track,
+                                      Id name) {
+    sep();
+    w.put(prefix);
+    w.integer(tid[track]);
+    w.put(R"(,"name":")");
+    w.put(text[name]);
   };
   // Process/thread-name metadata so the viewer shows run and worker names.
   if (!process_name_.empty()) {
     sep();
-    os << R"({"ph":"M","pid":0,"name":"process_name","args":{"name":")"
-       << escape(process_name_) << R"("}})";
+    w.put(R"({"ph":"M","pid":0,"name":"process_name","args":{"name":")");
+    w.put(json_escape(process_name_));
+    w.put(R"("}})");
   }
-  for (const auto& [track, tid] : tids) {
+  for (const Id track : tracks) {
     sep();
-    os << R"({"ph":"M","pid":0,"tid":)" << tid
-       << R"(,"name":"thread_name","args":{"name":")" << escape(track)
-       << R"("}})";
+    w.put(R"({"ph":"M","pid":0,"tid":)");
+    w.integer(tid[track]);
+    w.put(R"(,"name":"thread_name","args":{"name":")");
+    w.put(text[track]);
+    w.put(R"("}})");
   }
   for (const Event& e : events_) {
-    sep();
-    os << R"({"ph":"X","pid":0,"tid":)" << tids[e.track] << R"(,"name":")"
-       << escape(e.name) << R"(","ts":)" << e.start * 1e6 << R"(,"dur":)"
-       << (e.end - e.start) * 1e6 << "}";
+    head(R"({"ph":"X","pid":0,"tid":)", e.track, e.name);
+    w.put(R"(","ts":)");
+    w.number(e.start * 1e6);
+    w.put(R"(,"dur":)");
+    w.number((e.end - e.start) * 1e6);
+    w.put('}');
   }
   for (const CounterEvent& e : counter_events_) {
-    sep();
-    os << R"({"ph":"C","pid":0,"tid":)" << tids[e.track] << R"(,"name":")"
-       << escape(e.name) << R"(","ts":)" << e.t * 1e6
-       << R"(,"args":{"value":)" << e.value << "}}";
+    head(R"({"ph":"C","pid":0,"tid":)", e.track, e.name);
+    w.put(R"(","ts":)");
+    w.number(e.t * 1e6);
+    w.put(R"(,"args":{"value":)");
+    w.number(e.value);
+    w.put("}}");
   }
   for (const InstantEvent& e : instant_events_) {
-    sep();
-    os << R"({"ph":"i","s":"t","pid":0,"tid":)" << tids[e.track]
-       << R"(,"name":")" << escape(e.name) << R"(","ts":)" << e.t * 1e6
-       << "}";
+    head(R"({"ph":"i","s":"t","pid":0,"tid":)", e.track, e.name);
+    w.put(R"(","ts":)");
+    w.number(e.t * 1e6);
+    w.put('}');
   }
   for (const FlowEvent& e : flow_events_) {
-    sep();
-    os << R"({"ph":"s","cat":"net","pid":0,"tid":)" << tids[e.src_track]
-       << R"(,"name":")" << escape(e.name) << R"(","id":)" << e.id
-       << R"(,"ts":)" << e.sent * 1e6 << "}";
-    sep();
-    os << R"({"ph":"f","bp":"e","cat":"net","pid":0,"tid":)"
-       << tids[e.dst_track] << R"(,"name":")" << escape(e.name)
-       << R"(","id":)" << e.id << R"(,"ts":)" << e.arrival * 1e6 << "}";
+    head(R"({"ph":"s","cat":"net","pid":0,"tid":)", e.src_track, e.name);
+    w.put(R"(","id":)");
+    w.integer(e.id);
+    w.put(R"(,"ts":)");
+    w.number(e.sent * 1e6);
+    w.put('}');
+    head(R"({"ph":"f","bp":"e","cat":"net","pid":0,"tid":)", e.dst_track,
+         e.name);
+    w.put(R"(","id":)");
+    w.integer(e.id);
+    w.put(R"(,"ts":)");
+    w.number(e.arrival * 1e6);
+    w.put('}');
   }
-  os << "\n]\n";
+  w.put("\n]\n");
+  w.flush();
   common::check(os.good(), "TraceLog: stream write failed");
 }
 

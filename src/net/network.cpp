@@ -183,10 +183,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   if (lost) {
     if (ctr_lost_ != nullptr) ctr_lost_->inc();
     if (trace_ != nullptr) {
-      trace_->flow(endpoint_name(src_endpoint), endpoint_name(dst_endpoint),
-                   "lost " + endpoint_name(src_endpoint) + "->" +
-                       endpoint_name(dst_endpoint),
-                   now, arrival, ++flow_seq_);
+      trace_flow("lost ", src_endpoint, dst_endpoint, now, arrival);
     }
     return;
   }
@@ -204,10 +201,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
                       src_machine != dst_machine);
     }
     if (trace_ != nullptr) {
-      trace_->flow(endpoint_name(src_endpoint), endpoint_name(dst_endpoint),
-                   endpoint_name(src_endpoint) + "->" +
-                       endpoint_name(dst_endpoint),
-                   now, arr, ++flow_seq_);
+      trace_flow("", src_endpoint, dst_endpoint, now, arr);
     }
     p.src_endpoint = src_endpoint;
     p.sent_at = now;
@@ -224,6 +218,17 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   } else {
     enqueue(std::move(pkt), arrival);
   }
+}
+
+void Network::trace_flow(std::string_view prefix, int src_endpoint,
+                         int dst_endpoint, double sent, double arrival) {
+  const std::string& src = endpoint_name(src_endpoint);
+  const std::string& dst = endpoint_name(dst_endpoint);
+  flow_name_.assign(prefix);
+  flow_name_ += src;
+  flow_name_ += "->";
+  flow_name_ += dst;
+  trace_->flow(src, dst, flow_name_, sent, arrival, ++flow_seq_);
 }
 
 std::size_t Network::drain(int endpoint_id) {
@@ -247,10 +252,7 @@ void Network::transfer(runtime::Process& self, int src_endpoint,
                     src_machine != dst_machine);
   }
   if (trace_ != nullptr) {
-    trace_->flow(endpoint_name(src_endpoint), endpoint_name(dst_endpoint),
-                 "recover " + endpoint_name(src_endpoint) + "->" +
-                     endpoint_name(dst_endpoint),
-                 now, arrival, ++flow_seq_);
+    trace_flow("recover ", src_endpoint, dst_endpoint, now, arrival);
   }
   if (arrival > now) self.advance(arrival - now);
 }

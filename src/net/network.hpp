@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/faults.hpp"
@@ -187,6 +188,12 @@ class Network {
   double model_transfer(int src_machine, int dst_machine,
                         std::uint64_t wire_bytes, double now);
 
+  /// Records one flow named "<prefix><src>-><dst>" on the trace. The name
+  /// is built in a reused buffer and interned, so a known pair costs no
+  /// allocation.
+  void trace_flow(std::string_view prefix, int src_endpoint, int dst_endpoint,
+                  double sent, double arrival);
+
   // Observability sinks (optional; resolved once in set_metrics).
   metrics::TraceLog* trace_ = nullptr;
   metrics::SpanSink* spans_ = nullptr;
@@ -197,6 +204,7 @@ class Network {
   metrics::Counter* ctr_lost_ = nullptr;
   metrics::Counter* ctr_reordered_ = nullptr;
   std::uint64_t flow_seq_ = 0;
+  std::string flow_name_;  // trace_flow's reused name buffer
   metrics::Counter* ctr_bytes_inter_ = nullptr;
   metrics::Counter* ctr_bytes_intra_ = nullptr;
   metrics::Counter* ctr_msgs_inter_ = nullptr;

@@ -19,6 +19,9 @@ std::string num(double v) {
   return std::string(buf, res.ptr);
 }
 
+// Escapes quotes and backslashes, and every control character as \u00XX.
+// Deliberately not metrics::json_escape, which writes \n, \r and \t in
+// short form: span logs keep the bytes they have always had.
 std::string escape(const std::string& s) {
   static const char* hex = "0123456789abcdef";
   std::string out;

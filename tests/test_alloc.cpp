@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -77,7 +78,8 @@ struct Counted {
   std::uint64_t messages = 0;
 };
 
-Counted run_counted(const std::string& algorithm, int iterations) {
+Counted run_counted(const std::string& algorithm, int iterations,
+                    bool traced) {
   common::IniConfig ini;
   ini.set("experiment", "algorithm", algorithm);
   ini.set("experiment", "mode", "throughput");
@@ -86,17 +88,28 @@ Counted run_counted(const std::string& algorithm, int iterations) {
   ini.set("experiment", "seed", "42");
   ini.set("runtime", "compute_threads", "1");
   ini.set("workload", "model", "vgg16");
+  const std::string out = "/tmp/dtrainlib_alloc_" + algorithm;
+  if (traced) {
+    ini.set("output", "trace", out + ".trace.json");
+    ini.set("output", "timeseries_csv", out + ".csv");
+  }
   const ExperimentSpec spec = ExperimentSpec::from_ini(ini);
   Workload wl = spec.make_workload();
   Session session(spec.config, wl);
   const std::uint64_t before = g_allocations.load();
   const metrics::RunResult r = session.run();
-  return {g_allocations.load() - before, r.wire_messages};
+  const Counted counted{g_allocations.load() - before, r.wire_messages};
+  if (traced) {
+    std::remove((out + ".trace.json").c_str());
+    std::remove((out + ".csv").c_str());
+  }
+  return counted;
 }
 
-double allocations_per_extra_message(const std::string& algorithm) {
-  const Counted short_run = run_counted(algorithm, 8);
-  const Counted long_run = run_counted(algorithm, 16);
+double allocations_per_extra_message(const std::string& algorithm,
+                                     bool traced = false) {
+  const Counted short_run = run_counted(algorithm, 8, traced);
+  const Counted long_run = run_counted(algorithm, 16, traced);
   // Setup inside Session::run allocates, so zero means the counter is dead.
   EXPECT_GT(short_run.allocations, 0u);
   EXPECT_GT(long_run.messages, short_run.messages);
@@ -114,6 +127,19 @@ TEST(AllocationBudget, RingAllReduceSteadyStateIsAllocationFree) {
 
 TEST(AllocationBudget, ParameterServerSteadyStateIsAllocationFree) {
   EXPECT_LE(allocations_per_extra_message("bsp"), kMaxAllocsPerMessage);
+}
+
+// Tracing and time-series sampling record one flow per message, a slice
+// per phase and a counter per series per sample tick, and export them all
+// inside Session::run. Recording stores interned ids, and the exporters
+// stream through a fixed chunk buffer, so the budget is the same.
+TEST(AllocationBudget, TracedRingAllReduceStaysWithinBudget) {
+  EXPECT_LE(allocations_per_extra_message("arsgd", true),
+            kMaxAllocsPerMessage);
+}
+
+TEST(AllocationBudget, TracedParameterServerStaysWithinBudget) {
+  EXPECT_LE(allocations_per_extra_message("bsp", true), kMaxAllocsPerMessage);
 }
 
 }  // namespace

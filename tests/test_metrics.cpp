@@ -1,13 +1,18 @@
 // Tests for metrics accounting and the Chrome-tracing export.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <random>
 #include <sstream>
 
 #include "core/trainer.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/trace.hpp"
+#include "metrics/writer.hpp"
 #include "runtime/sim.hpp"
 
 namespace dt::metrics {
@@ -56,10 +61,10 @@ TEST(PhaseTimer, FeedsAttachedTrace) {
   });
   engine.run();
   ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].name, "compute");
+  EXPECT_EQ(trace.str(trace.events()[0].name), "compute");
   EXPECT_DOUBLE_EQ(trace.events()[0].start, 0.0);
   EXPECT_DOUBLE_EQ(trace.events()[0].end, 1.0);
-  EXPECT_EQ(trace.events()[1].name, "comm");
+  EXPECT_EQ(trace.str(trace.events()[1].name), "comm");
   EXPECT_DOUBLE_EQ(trace.events()[1].end, 1.5);
 }
 
@@ -139,6 +144,171 @@ TEST(TraceLog, SaveFailsLoudlyOnBadPath) {
   TraceLog trace;
   trace.record("t", "e", 0.0, 1.0);
   EXPECT_THROW(trace.save("/nonexistent-dir/trace.json"), common::Error);
+}
+
+/// What a std::ostream with default flags prints for `v` at `precision`.
+std::string ostream_text(double v, int precision) {
+  std::ostringstream os;
+  os.precision(precision);
+  os << v;
+  return os.str();
+}
+
+TEST(NumberFormat, MatchesDefaultOstream) {
+  const double values[] = {0.0,
+                           -0.0,
+                           1e-5,
+                           0.1 + 0.2,
+                           123456.0,
+                           1234567.0,
+                           1e300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (const int precision : {6, 12}) {
+    for (const double v : values) {
+      EXPECT_EQ(format_number(v, precision), ostream_text(v, precision))
+          << "precision " << precision;
+    }
+  }
+}
+
+TEST(NumberFormat, MatchesDefaultOstreamOnRandomDoubles) {
+  // Mantissas and exponents across the whole range, including values just
+  // below a power of ten, which round up into the next decade.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mant(-10.0, 10.0);
+  std::uniform_int_distribution<int> decade(-320, 300);
+  std::ostringstream got6;
+  std::ostringstream got12;
+  std::ostringstream want6;
+  std::ostringstream want12;
+  {
+    ChunkWriter w6(got6);
+    ChunkWriter w12(got12);
+    for (int i = 0; i < 20000; ++i) {
+      const double p10 = std::pow(10.0, decade(rng));
+      const double v =
+          i % 4 == 0 ? std::nextafter(p10, 0.0) : mant(rng) * p10;
+      w6.number(v);
+      w6.put(',');
+      w12.number(v, 12);
+      w12.put(',');
+      want6 << ostream_text(v, 6) << ',';
+      want12 << ostream_text(v, 12) << ',';
+    }
+  }
+  EXPECT_EQ(got6.str(), want6.str());
+  EXPECT_EQ(got12.str(), want12.str());
+}
+
+TEST(ChunkWriter, StreamsAcrossChunkBoundaries) {
+  // Several chunks of output, with numbers and strings straddling the
+  // boundaries and one string larger than a whole chunk.
+  const std::string big(ChunkWriter::kChunkBytes + 7, 'x');
+  std::ostringstream os;
+  std::string want;
+  {
+    ChunkWriter w(os);
+    for (int i = 0; i < 400000; ++i) {
+      w.put("event");
+      w.integer(i);
+      w.put(':');
+      w.number(i * 0.1);
+      want += "event" + std::to_string(i) + ":" + format_number(i * 0.1);
+      if (i % 100000 == 0) {
+        w.put(big);
+        want += big;
+      }
+    }
+  }
+  EXPECT_GT(want.size(), 3 * ChunkWriter::kChunkBytes);
+  EXPECT_EQ(os.str(), want);
+}
+
+/// The Chrome-trace writer as it was first written: one `operator<<` per
+/// field into the stream, tids from a std::map, strings escaped per event.
+std::string reference_chrome_json(const TraceLog& trace) {
+  std::map<std::string, int> tids;
+  auto tid_of = [&tids](const std::string& track) {
+    return tids.emplace(track, static_cast<int>(tids.size())).first->second;
+  };
+  const auto& s = [&trace](TraceLog::Id id) { return trace.str(id); };
+  for (const auto& e : trace.events()) tid_of(s(e.track));
+  for (const auto& e : trace.counter_events()) tid_of(s(e.track));
+  for (const auto& e : trace.flow_events()) {
+    tid_of(s(e.src_track));
+    tid_of(s(e.dst_track));
+  }
+  for (const auto& e : trace.instant_events()) tid_of(s(e.track));
+  std::ostringstream os;
+  os << "[\n";
+  bool first = true;
+  auto sep = [&os, &first] {
+    if (!first) os << ",\n";
+    first = false;
+  };
+  for (const auto& [track, tid] : tids) {
+    sep();
+    os << R"({"ph":"M","pid":0,"tid":)" << tid
+       << R"(,"name":"thread_name","args":{"name":")" << json_escape(track)
+       << R"("}})";
+  }
+  for (const auto& e : trace.events()) {
+    sep();
+    os << R"({"ph":"X","pid":0,"tid":)" << tids[s(e.track)]
+       << R"(,"name":")" << json_escape(s(e.name)) << R"(","ts":)"
+       << e.start * 1e6 << R"(,"dur":)" << (e.end - e.start) * 1e6 << "}";
+  }
+  for (const auto& e : trace.counter_events()) {
+    sep();
+    os << R"({"ph":"C","pid":0,"tid":)" << tids[s(e.track)]
+       << R"(,"name":")" << json_escape(s(e.name)) << R"(","ts":)"
+       << e.t * 1e6 << R"(,"args":{"value":)" << e.value << "}}";
+  }
+  for (const auto& e : trace.instant_events()) {
+    sep();
+    os << R"({"ph":"i","s":"t","pid":0,"tid":)" << tids[s(e.track)]
+       << R"(,"name":")" << json_escape(s(e.name)) << R"(","ts":)"
+       << e.t * 1e6 << "}";
+  }
+  for (const auto& e : trace.flow_events()) {
+    sep();
+    os << R"({"ph":"s","cat":"net","pid":0,"tid":)" << tids[s(e.src_track)]
+       << R"(,"name":")" << json_escape(s(e.name)) << R"(","id":)" << e.id
+       << R"(,"ts":)" << e.sent * 1e6 << "}";
+    sep();
+    os << R"({"ph":"f","bp":"e","cat":"net","pid":0,"tid":)"
+       << tids[s(e.dst_track)] << R"(,"name":")" << json_escape(s(e.name))
+       << R"(","id":)" << e.id << R"(,"ts":)" << e.arrival * 1e6 << "}";
+  }
+  os << "\n]\n";
+  return os.str();
+}
+
+TEST(TraceLog, LargeTraceMatchesOneShotReference) {
+  // Tracks whose first appearance order differs from their name order,
+  // names that need escaping, and enough events that the output spans
+  // several 1 MiB chunks.
+  TraceLog trace;
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> u(0.0, 100.0);
+  const char* tracks[] = {"worker9", "ps0", "worker10", "faults", "tr\"q"};
+  const char* names[] = {"compute", "comm", "x\ny", "worker9->ps0"};
+  for (int i = 0; i < 20000; ++i) {
+    const double t = u(rng);
+    trace.record(tracks[i % 5], names[i % 4], t, t + u(rng) * 1e-3);
+    trace.counter("metrics", names[(i + 1) % 4], t, u(rng) * 1e6);
+    trace.flow(tracks[(i + 2) % 5], tracks[(i + 3) % 5], names[i % 4], t,
+               t + 1e-4, static_cast<std::uint64_t>(i) * 977);
+    if (i % 50 == 0) trace.instant("membership", "crash", t);
+  }
+  std::ostringstream os;
+  trace.write_chrome_json(os);
+  const std::string got = os.str();
+  EXPECT_GT(got.size(), 3 * ChunkWriter::kChunkBytes);
+  EXPECT_EQ(got, reference_chrome_json(trace));
 }
 
 TEST(RunResult, ThroughputAndPhaseMeans) {

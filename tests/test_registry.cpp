@@ -269,7 +269,7 @@ TEST(TimeSeriesSampler, MirrorsSamplesAsTraceCounters) {
   reg.counter("c").inc(2.0);
   sampler.sample(0.5);
   ASSERT_EQ(trace.counter_events().size(), 1u);
-  EXPECT_EQ(trace.counter_events()[0].name, "c");
+  EXPECT_EQ(trace.str(trace.counter_events()[0].name), "c");
   EXPECT_DOUBLE_EQ(trace.counter_events()[0].t, 0.5);
   EXPECT_DOUBLE_EQ(trace.counter_events()[0].value, 2.0);
 }
