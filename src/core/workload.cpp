@@ -153,7 +153,7 @@ double Workload::compute_gradients(int w) {
   check_functional();
   WorkerState& state = worker(w);
   state.model.set_training(true);  // evaluate() may have flipped eval mode
-  auto batch = state.batches->next();
+  const auto& batch = state.batches->next();
   state.model.zero_grad();
   const Tensor& logits = state.model.forward(batch.inputs);
   const float loss = state.loss.forward(logits, batch.labels);

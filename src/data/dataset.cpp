@@ -1,6 +1,7 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -11,10 +12,20 @@ namespace dt::data {
 using tensor::Tensor;
 
 Tensor Dataset::gather(std::span<const std::int64_t> rows) const {
+  Tensor out;
+  gather(rows, out);
+  return out;
+}
+
+void Dataset::gather(std::span<const std::int64_t> rows, Tensor& out) const {
   const std::int64_t f = feature_size();
-  tensor::Shape shape = inputs.shape();
+  const tensor::Shape& in = inputs.shape();
+  std::array<std::int64_t, 8> shape{};
+  common::check(!in.empty() && in.size() <= shape.size(),
+                "Dataset::gather: unsupported input rank");
+  std::copy(in.begin(), in.end(), shape.begin());
   shape[0] = static_cast<std::int64_t>(rows.size());
-  Tensor out(shape);
+  out.ensure_shape(std::span<const std::int64_t>(shape.data(), in.size()));
   const float* src = inputs.data().data();
   float* dst = out.data().data();
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -22,7 +33,6 @@ Tensor Dataset::gather(std::span<const std::int64_t> rows) const {
     std::copy(src + r * f, src + (r + 1) * f,
               dst + static_cast<std::int64_t>(i) * f);
   }
-  return out;
 }
 
 Dataset make_teacher_student(const TeacherStudentSpec& spec,
@@ -237,7 +247,7 @@ void BatchIterator::reshuffle() {
   cursor_ = 0;
 }
 
-BatchIterator::Batch BatchIterator::next() {
+const BatchIterator::Batch& BatchIterator::next() {
   const std::int64_t n = dataset_->size();
   if (cursor_ >= n) reshuffle();
   // The final batch of an epoch may be short (n mod batch_size samples):
@@ -247,13 +257,12 @@ BatchIterator::Batch BatchIterator::next() {
   std::span<const std::int64_t> rows(order_.data() + cursor_,
                                      static_cast<std::size_t>(take));
   cursor_ += take;
-  Batch b;
-  b.inputs = dataset_->gather(rows);
-  b.labels.reserve(rows.size());
+  dataset_->gather(rows, batch_.inputs);
+  batch_.labels.clear();
   for (std::int64_t r : rows) {
-    b.labels.push_back(dataset_->labels[static_cast<std::size_t>(r)]);
+    batch_.labels.push_back(dataset_->labels[static_cast<std::size_t>(r)]);
   }
-  return b;
+  return batch_;
 }
 
 std::int64_t BatchIterator::batches_per_epoch() const noexcept {

@@ -34,6 +34,9 @@ struct Dataset {
 
   /// Rows [first, first+count) as a batch tensor plus label view.
   [[nodiscard]] tensor::Tensor gather(std::span<const std::int64_t> rows) const;
+  /// gather() into `out`, reusing its storage (no allocation once `out` has
+  /// held a batch of this size).
+  void gather(std::span<const std::int64_t> rows, tensor::Tensor& out) const;
 };
 
 struct TeacherStudentSpec {
@@ -96,8 +99,9 @@ class BatchIterator {
   };
 
   /// Next mini-batch; reshuffles and wraps at epoch end so every call
-  /// succeeds (iteration-driven training loops never see an "end").
-  Batch next();
+  /// succeeds (iteration-driven training loops never see an "end"). The
+  /// batch lives in the iterator and is overwritten by the next call.
+  const Batch& next();
 
   [[nodiscard]] std::int64_t batches_per_epoch() const noexcept;
 
@@ -107,6 +111,7 @@ class BatchIterator {
   common::Rng rng_;
   std::vector<std::int64_t> order_;
   std::int64_t cursor_ = 0;
+  Batch batch_;
 
   void reshuffle();
 };

@@ -38,6 +38,13 @@ class Layer {
   /// is reused across steps and stays valid until the next backward.
   virtual const tensor::Tensor& backward(const tensor::Tensor& grad_output) = 0;
 
+  /// backward() for a layer whose input gradient nobody reads (a model's
+  /// first layer): accumulates the parameter gradients and may skip
+  /// dL/d(input). Parameter gradients are bit-identical to backward()'s.
+  virtual void backward_params(const tensor::Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Parameter slots owned by this layer (empty for stateless layers).
   virtual std::vector<ParamSlot*> params() { return {}; }
 

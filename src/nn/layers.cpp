@@ -37,13 +37,17 @@ const Tensor& Dense::forward(const Tensor& input) {
   return output_;
 }
 
-const Tensor& Dense::backward(const Tensor& grad_output) {
+void Dense::backward_params(const Tensor& grad_output) {
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_ ||
       grad_output.dim(0) != input_.dim(0)) {
     common::fail("Dense(" + name_ + "): bad grad shape");
   }
   tensor::matmul_tn(input_, grad_output, weight_.grad, /*accumulate=*/true);
   tensor::sum_rows(grad_output, bias_.grad.data());
+}
+
+const Tensor& Dense::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
   grad_in_.ensure_shape({input_.dim(0), in_});
   tensor::matmul_nt(grad_output, weight_.value, grad_in_);
   return grad_in_;
@@ -167,15 +171,11 @@ const Tensor& Conv2d::forward(const Tensor& input) {
   return output_;
 }
 
-const Tensor& Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
   if (grad_output.shape() != output_.shape())
     common::fail("Conv2d(" + name_ + "): bad grad shape");
   const std::int64_t col_rows = in_c_ * k_ * k_;
   const std::int64_t ohow = oh_ * ow_;
-  grad_in_.ensure_shape(input_.shape());
-  grad_in_.fill(0.0f);  // col2im accumulates
-  gcols_.ensure_shape({col_rows, ohow});
-
   for (std::int64_t b = 0; b < batch_; ++b) {
     const float* go = grad_output.data().data() + b * out_c_ * ohow;
     const float* col_b = cols_.data().data() + b * col_rows * ohow;
@@ -188,6 +188,19 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
       for (std::int64_t i = 0; i < ohow; ++i) acc += go[oc * ohow + i];
       bias_.grad[static_cast<std::size_t>(oc)] += static_cast<float>(acc);
     }
+  }
+}
+
+const Tensor& Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  const std::int64_t col_rows = in_c_ * k_ * k_;
+  const std::int64_t ohow = oh_ * ow_;
+  grad_in_.ensure_shape(input_.shape());
+  grad_in_.fill(0.0f);  // col2im accumulates
+  gcols_.ensure_shape({col_rows, ohow});
+
+  for (std::int64_t b = 0; b < batch_; ++b) {
+    const float* go = grad_output.data().data() + b * out_c_ * ohow;
     // dcols = W^T * gout, then scatter back to input grad.
     tensor::gemm_tn(weight_.value.data().data(), go, gcols_.data().data(),
                     out_c_, col_rows, ohow, /*accumulate=*/false);

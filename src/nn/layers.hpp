@@ -23,6 +23,7 @@ class Dense final : public Layer {
 
   const tensor::Tensor& forward(const tensor::Tensor& input) override;
   const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<ParamSlot*> params() override { return {&weight_, &bias_}; }
   void init(common::Rng& rng) override;
   [[nodiscard]] std::string name() const override { return name_; }
@@ -63,6 +64,7 @@ class Conv2d final : public Layer {
 
   const tensor::Tensor& forward(const tensor::Tensor& input) override;
   const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<ParamSlot*> params() override { return {&weight_, &bias_}; }
   void init(common::Rng& rng) override;
   [[nodiscard]] std::string name() const override { return name_; }

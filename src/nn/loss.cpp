@@ -27,16 +27,16 @@ float SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
   return static_cast<float>(loss / static_cast<double>(m));
 }
 
-tensor::Tensor SoftmaxCrossEntropy::backward() const {
+const tensor::Tensor& SoftmaxCrossEntropy::backward() {
   common::check(!probs_.empty(), "SoftmaxCrossEntropy::backward before forward");
-  tensor::Tensor grad = probs_;
-  const std::int64_t m = grad.dim(0);
+  grad_ = probs_;
+  const std::int64_t m = grad_.dim(0);
   const float inv_m = 1.0f / static_cast<float>(m);
   for (std::int64_t i = 0; i < m; ++i) {
-    grad.at(i, labels_[static_cast<std::size_t>(i)]) -= 1.0f;
+    grad_.at(i, labels_[static_cast<std::size_t>(i)]) -= 1.0f;
   }
-  tensor::scale(grad.data(), inv_m);
-  return grad;
+  tensor::scale(grad_.data(), inv_m);
+  return grad_;
 }
 
 double SoftmaxCrossEntropy::accuracy() const {

@@ -15,14 +15,16 @@ class SoftmaxCrossEntropy {
   float forward(const tensor::Tensor& logits,
                 std::span<const std::int32_t> labels);
 
-  /// dL/d(logits) = (softmax - onehot) / batch.
-  [[nodiscard]] tensor::Tensor backward() const;
+  /// dL/d(logits) = (softmax - onehot) / batch, in a buffer the loss owns
+  /// and reuses: valid until the next backward().
+  [[nodiscard]] const tensor::Tensor& backward();
 
   /// Fraction of rows whose argmax equals the label (uses cached softmax).
   [[nodiscard]] double accuracy() const;
 
  private:
   tensor::Tensor probs_;
+  tensor::Tensor grad_;
   std::vector<std::int32_t> labels_;
 };
 

@@ -28,18 +28,18 @@ void Sequential::backward_with_hook(
     const tensor::Tensor& grad_output,
     const std::function<void(std::size_t, std::size_t)>& on_layer_grads) {
   common::check(!layers_.empty(), "Sequential::backward on empty model");
-  // Slot index of each layer's first slot, for the hook.
-  std::vector<std::size_t> first_slot(layers_.size());
-  std::size_t acc = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    first_slot[i] = acc;
-    acc += layers_[i]->params().size();
-  }
+  (void)slots();  // builds layer_first_slot_ / layer_slot_count_
   const tensor::Tensor* grad = &grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    grad = &layers_[i]->backward(*grad);
-    const std::size_t count = layers_[i]->params().size();
-    if (on_layer_grads && count > 0) on_layer_grads(first_slot[i], count);
+    if (i > 0) {
+      grad = &layers_[i]->backward(*grad);
+    } else {
+      layers_[i]->backward_params(*grad);
+    }
+    const std::size_t count = layer_slot_count_[i];
+    if (on_layer_grads && count > 0) {
+      on_layer_grads(layer_first_slot_[i], count);
+    }
   }
 }
 
@@ -49,8 +49,13 @@ void Sequential::zero_grad() {
 
 const std::vector<ParamSlot*>& Sequential::rebuild_slots() const {
   slots_cache_.clear();
+  layer_first_slot_.clear();
+  layer_slot_count_.clear();
   for (const auto& layer : layers_) {
-    for (ParamSlot* slot : layer->params()) slots_cache_.push_back(slot);
+    const std::vector<ParamSlot*> params = layer->params();
+    layer_first_slot_.push_back(slots_cache_.size());
+    layer_slot_count_.push_back(params.size());
+    slots_cache_.insert(slots_cache_.end(), params.begin(), params.end());
   }
   return slots_cache_;
 }

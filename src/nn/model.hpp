@@ -46,6 +46,7 @@ class Sequential {
   const tensor::Tensor& forward(const tensor::Tensor& input);
 
   /// Backpropagates dL/d(output); parameter gradients accumulate in slots.
+  /// The first layer's input gradient is not computed (nothing reads it).
   void backward(const tensor::Tensor& grad_output);
 
   /// Like backward() but invokes `on_layer_grads(slot_index_range)` as soon
@@ -82,6 +83,10 @@ class Sequential {
 
   std::vector<std::unique_ptr<Layer>> layers_;
   mutable std::vector<ParamSlot*> slots_cache_;
+  // Per layer, built with slots_cache_: index of its first slot, and its
+  // slot count.
+  mutable std::vector<std::size_t> layer_first_slot_;
+  mutable std::vector<std::size_t> layer_slot_count_;
 };
 
 }  // namespace dt::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -85,157 +86,337 @@ float max_abs(std::span<const float> x) noexcept {
 
 namespace {
 
-// Cache-blocking parameters shared by the packed kernels. The packed B
-// panel is kKc x kNc floats = 128 KiB, sized for a typical L2; the 4-row
-// register tile turns each packed row load into four FMAs, and the
-// branch-free inner loops auto-vectorize at -O2 (the old `aval == 0.0f`
-// skip both defeated vectorization and pessimized dense data).
-constexpr std::int64_t kNc = 256;  // B-panel columns per block
-constexpr std::int64_t kKc = 128;  // reduction depth per block
-constexpr std::int64_t kMr = 4;    // C rows per register tile
-
-// Per-host-thread packing buffer: GEMMs run concurrently on the runtime's
-// compute pool, so this must not be shared across threads.
-thread_local std::vector<float> g_pack;
-
-// Packs `rows` rows of length `cols` from src (leading dimension ld,
-// starting at column j0) into a contiguous rows x cols panel.
-void pack_panel(const float* src, std::int64_t ld, std::int64_t j0,
-                std::int64_t rows, std::int64_t cols, float* dst) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* s = src + r * ld + j0;
-    std::copy(s, s + cols, dst + r * cols);
-  }
-}
-
 void check_2d(const Tensor& t, const char* name) {
   if (t.rank() != 2) common::fail(std::string("matmul: ") + name + " not 2-D");
 }
 
+// ---- GEMM building blocks ---------------------------------------------------
+//
+// Every GEMM output is a fixed sequence of the fmadd below (ops.hpp). The
+// kernels only choose which of those sequences run side by side in
+// registers, never their order or their rounding.
+
+// The one multiply-add every chain is built from. It is spelled out rather
+// than left to -ffp-contract: GCC's vectorizer does not contract a*b + c
+// consistently in tiled code, so a fused build could mix fused and unfused
+// steps depending on the tile.
+inline float fmadd(float a, float b, float c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
+
+// Eight floats as one value. A fixed-width GNU vector makes the lane layout
+// explicit (gemm_nt's combine tree depends on it) and leaves the mapping to
+// the target: one AVX register, or two SSE ones. All of these helpers are
+// inlined, so the vector-argument ABI that -Wpsabi warns about (reported
+// against the whole unit in builds without AVX) never applies.
+#pragma GCC diagnostic ignored "-Wpsabi"
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
+
+inline v8f load8(const float* p) {
+  v8f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store8(float* p, v8f v) { std::memcpy(p, &v, sizeof v); }
+
+inline v8f splat8(float x) { return v8f{x, x, x, x, x, x, x, x}; }
+
+// Lane-wise fmadd: one vector FMA, or a vector multiply and add.
+inline v8f fmadd8(v8f a, v8f b, v8f c) {
+  v8f r;
+#pragma GCC unroll 8
+  for (int l = 0; l < 8; ++l) r[l] = fmadd(a[l], b[l], c[l]);
+  return r;
+}
+
+// Per-host-thread scratch for packed and padded copies: GEMMs run
+// concurrently on the runtime's compute pool, so this must not be shared
+// across threads.
+thread_local std::vector<float> g_scratch;
+
+float* scratch(std::size_t floats) {
+  if (g_scratch.size() < floats) g_scratch.resize(floats);
+  return g_scratch.data();
+}
+
+// ---- gemm_nn / gemm_tn ------------------------------------------------------
+
+// Cache blocking: a kKc x kNc block of B (128 KiB) is swept by every row
+// tile before the next block is touched. Blocking cuts each chain into
+// consecutive pieces, parked in C in between, which rounds nothing. When
+// B's rows are wider than a block, the block is first copied into a
+// contiguous panel, so a tile walks consecutive memory rather than one
+// page per step.
+constexpr std::int64_t kNc = 256;  // B columns per block
+constexpr std::int64_t kKc = 128;  // reduction steps per block
+constexpr int kMr = 8;             // C rows per register tile
+
+// Row r of a tile reads a(r, s) = a[r][s * a_step].
+using TileRows = const float* [kMr];
+
+// One kMr x (8 * NV) tile of C, held in registers over `steps` steps:
+//   acc[r][j] = fmadd(a(r, s), b[s][j], acc[r][j]),  s = 0, 1, ..., steps-1
+// The accumulators start from C (`load_c`) or from +0, and are stored once
+// at the end.
+template <int NV>
+void gemm_tile(const TileRows& a, std::int64_t a_step, const float* b,
+               std::int64_t ldb, float* c, std::int64_t ldc,
+               std::int64_t steps, bool load_c) {
+  v8f acc[kMr][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = load_c ? load8(c + r * ldc + 8 * v) : v8f{};
+    }
+  }
+  for (std::int64_t s = 0; s < steps; ++s) {
+    v8f bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) bv[v] = load8(b + s * ldb + 8 * v);
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const v8f av = splat8(a[r][s * a_step]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] = fmadd8(av, bv[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) store8(c + r * ldc + 8 * v, acc[r][v]);
+  }
+}
+
+// A tile of which only the top-left `rows` x `cols` lies inside C (at the
+// bottom or right edge): it runs through a local copy of C, so nothing past
+// the edge is touched. Rows past the edge repeat the last row of A (see
+// gemm_rows) and are dropped; columns past the edge read B's zero padding.
+template <int NV>
+void gemm_clipped_tile(const TileRows& a, std::int64_t a_step,
+                       const float* b, std::int64_t ldb, float* c,
+                       std::int64_t ldc, std::int64_t steps,
+                       std::int64_t rows, std::int64_t cols, bool load_c) {
+  if (rows == kMr && cols == 8 * NV) {
+    gemm_tile<NV>(a, a_step, b, ldb, c, ldc, steps, load_c);
+    return;
+  }
+  float cbuf[kMr][8 * NV];
+  for (int r = 0; r < kMr; ++r) {
+    for (int j = 0; j < 8 * NV; ++j) {
+      cbuf[r][j] = load_c && r < rows && j < cols ? c[r * ldc + j] : 0.0f;
+    }
+  }
+  gemm_tile<NV>(a, a_step, b, ldb, cbuf[0], 8 * NV, steps, load_c);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] = cbuf[r][j];
+  }
+}
+
+// C(rows x n) (+)= sum over s of a(r, s) * B[s][:], B row-major with `steps`
+// rows: the shared body of gemm_nn (a(r, s) = A[r][s]) and gemm_tn
+// (a(r, s) = A[s][r]).
+//
+// Each row block is covered by 16-wide tiles, then an 8-wide one when
+// exactly 8 columns remain. Any other remainder is one tile over a copy of
+// those columns of B, zero-padded to `padded_w` (8 or 16) floats per step:
+// a narrow output such as the MLP's 10 classes is one vector pass, not a
+// vector plus a scalar tail.
+void gemm_rows(const float* a, std::int64_t a_row, std::int64_t a_step,
+               const float* b, float* c, std::int64_t rows, std::int64_t steps,
+               std::int64_t n, bool accumulate) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
+    const std::int64_t nc = std::min(kNc, n - j0);
+    const std::int64_t whole = nc % 16 == 8 ? nc : nc / 16 * 16;
+    const std::int64_t narrow = nc - whole;
+    const std::int64_t padded_w = narrow > 8 ? 16 : 8;
+    // A product with no steps still clears C when not accumulating.
+    for (std::int64_t s0 = 0; s0 < std::max<std::int64_t>(steps, 1);
+         s0 += kKc) {
+      const std::int64_t kc = std::min(kKc, steps - s0);
+      const bool load_c = accumulate || s0 > 0;
+      // Scratch holds the contiguous panel (if any), then the padded columns.
+      const std::int64_t panel_size = n > kNc ? kc * nc : 0;
+      float* const panel =
+          scratch(static_cast<std::size_t>(panel_size + kc * padded_w));
+      float* const padded = panel + panel_size;
+      const float* bp = b + s0 * n + j0;
+      std::int64_t ldb = n;
+      if (panel_size > 0) {
+        for (std::int64_t s = 0; s < kc; ++s) {
+          std::memcpy(panel + s * nc, bp + s * n, sizeof(float) * nc);
+        }
+        bp = panel;
+        ldb = nc;
+      }
+      if (narrow > 0) {
+        for (std::int64_t s = 0; s < kc; ++s) {
+          for (std::int64_t j = 0; j < padded_w; ++j) {
+            padded[s * padded_w + j] =
+                j < narrow ? bp[s * ldb + whole + j] : 0.0f;
+          }
+        }
+      }
+      for (std::int64_t r0 = 0; r0 < rows; r0 += kMr) {
+        const std::int64_t mr = std::min<std::int64_t>(kMr, rows - r0);
+        TileRows ar;
+#pragma GCC unroll 8
+        for (int r = 0; r < kMr; ++r) {
+          const std::int64_t row = std::min<std::int64_t>(r0 + r, rows - 1);
+          ar[r] = a + row * a_row + s0 * a_step;
+        }
+        float* cr = c + r0 * n + j0;
+        for (std::int64_t j = 0; j < whole; j += 16) {
+          if (j + 16 > whole) {
+            gemm_clipped_tile<1>(ar, a_step, bp + j, ldb, cr + j, n, kc, mr,
+                                 8, load_c);
+          } else {
+            gemm_clipped_tile<2>(ar, a_step, bp + j, ldb, cr + j, n, kc, mr,
+                                 16, load_c);
+          }
+        }
+        if (narrow > 0 && padded_w == 8) {
+          gemm_clipped_tile<1>(ar, a_step, padded, 8, cr + whole, n, kc, mr,
+                               narrow, load_c);
+        } else if (narrow > 0) {
+          gemm_clipped_tile<2>(ar, a_step, padded, 16, cr + whole, n, kc, mr,
+                               narrow, load_c);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
-// C[m x n] (+)= A[m x k] * B[k x n]. Per output element the reduction runs
-// p = 0..k-1 in order (blocking only reorders independent elements), so the
-// float accumulation order is fixed and host-independent.
+// C[m x n] (+)= A[m x k] * B[k x n].
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, bool accumulate) {
-  if (!accumulate) std::fill(c, c + m * n, 0.0f);
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::int64_t nc = std::min(kNc, n - j0);
-    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::int64_t kc = std::min(kKc, k - p0);
-      g_pack.resize(static_cast<std::size_t>(kc * nc));
-      float* pack = g_pack.data();
-      pack_panel(b + p0 * n, n, j0, kc, nc, pack);
-
-      std::int64_t i = 0;
-      for (; i + kMr <= m; i += kMr) {
-        const float* a0 = a + (i + 0) * k + p0;
-        const float* a1 = a + (i + 1) * k + p0;
-        const float* a2 = a + (i + 2) * k + p0;
-        const float* a3 = a + (i + 3) * k + p0;
-        float* c0 = c + (i + 0) * n + j0;
-        float* c1 = c + (i + 1) * n + j0;
-        float* c2 = c + (i + 2) * n + j0;
-        float* c3 = c + (i + 3) * n + j0;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const float* bp = pack + p * nc;
-          const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-          for (std::int64_t j = 0; j < nc; ++j) {
-            c0[j] += v0 * bp[j];
-            c1[j] += v1 * bp[j];
-            c2[j] += v2 * bp[j];
-            c3[j] += v3 * bp[j];
-          }
-        }
-      }
-      for (; i < m; ++i) {
-        const float* ai = a + i * k + p0;
-        float* ci = c + i * n + j0;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const float* bp = pack + p * nc;
-          const float v = ai[p];
-          for (std::int64_t j = 0; j < nc; ++j) ci[j] += v * bp[j];
-        }
-      }
-    }
-  }
+  gemm_rows(a, k, 1, b, c, m, k, n, accumulate);
 }
 
-// C[k x n] (+)= A[m x k]^T * B[m x n]: the reduction runs over A/B rows, so
-// the register tile is over C rows (= A columns) and the packed panel is a
-// block of B rows, reused across every C-row tile.
+// C[k x n] (+)= A[m x k]^T * B[m x n].
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, bool accumulate) {
-  if (!accumulate) std::fill(c, c + k * n, 0.0f);
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::int64_t nc = std::min(kNc, n - j0);
-    for (std::int64_t i0 = 0; i0 < m; i0 += kKc) {
-      const std::int64_t ic = std::min(kKc, m - i0);
-      g_pack.resize(static_cast<std::size_t>(ic * nc));
-      float* pack = g_pack.data();
-      pack_panel(b + i0 * n, n, j0, ic, nc, pack);
-
-      std::int64_t p = 0;
-      for (; p + kMr <= k; p += kMr) {
-        float* c0 = c + (p + 0) * n + j0;
-        float* c1 = c + (p + 1) * n + j0;
-        float* c2 = c + (p + 2) * n + j0;
-        float* c3 = c + (p + 3) * n + j0;
-        for (std::int64_t i = 0; i < ic; ++i) {
-          const float* ar = a + (i0 + i) * k + p;
-          const float* bp = pack + i * nc;
-          const float v0 = ar[0], v1 = ar[1], v2 = ar[2], v3 = ar[3];
-          for (std::int64_t j = 0; j < nc; ++j) {
-            c0[j] += v0 * bp[j];
-            c1[j] += v1 * bp[j];
-            c2[j] += v2 * bp[j];
-            c3[j] += v3 * bp[j];
-          }
-        }
-      }
-      for (; p < k; ++p) {
-        float* cp = c + p * n + j0;
-        for (std::int64_t i = 0; i < ic; ++i) {
-          const float* bp = pack + i * nc;
-          const float v = a[(i0 + i) * k + p];
-          for (std::int64_t j = 0; j < nc; ++j) cp[j] += v * bp[j];
-        }
-      }
-    }
-  }
+  gemm_rows(a, 1, k, b, c, k, m, n, accumulate);
 }
+
+// ---- gemm_nt ----------------------------------------------------------------
 
 namespace {
 
-// 8-lane dot product: eight independent accumulation chains let the
-// compiler keep a vector accumulator without -ffast-math (a single-chain
-// float reduction cannot legally be vectorized). The lane-combine order is
-// fixed, so results are deterministic.
-float dot_lanes(const float* x, const float* y, std::int64_t n) {
-  float lane[8] = {};
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    for (int l = 0; l < 8; ++l) lane[l] += x[j + l] * y[j + l];
+constexpr int kDotTile = 4;  // A rows and B rows per dot tile
+
+// [x0+x1, x2+x3, y0+y1, y2+y3, x4+x5, x6+x7, y4+y5, y6+y7]
+inline v8f pair_sums(v8f x, v8f y) {
+  return __builtin_shufflevector(x, y, 0, 2, 8, 10, 4, 6, 12, 14) +
+         __builtin_shufflevector(x, y, 1, 3, 9, 11, 5, 7, 13, 15);
+}
+
+// Entry q is ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)) over the
+// lanes l of d[q]: the combine tree of four dots at once.
+inline v4f combine4(const v8f (&d)[kDotTile]) {
+  // g = [sums of lanes 0-3 of d0..d3 | sums of lanes 4-7 of d0..d3]
+  const v8f g = pair_sums(pair_sums(d[0], d[1]), pair_sums(d[2], d[3]));
+  return __builtin_shufflevector(g, g, 0, 1, 2, 3) +
+         __builtin_shufflevector(g, g, 4, 5, 6, 7);
+}
+
+using DotRows = const float* [kDotTile];
+
+// acc[r][q] = fmadd8(ar[r][j..j+7], br[q][j..j+7], acc[r][q]) for all r, q.
+inline void dot_step(v8f (&acc)[kDotTile][kDotTile], const DotRows& ar,
+                     const DotRows& br, std::int64_t j) {
+  v8f bv[kDotTile];
+#pragma GCC unroll 8
+  for (int q = 0; q < kDotTile; ++q) bv[q] = load8(br[q] + j);
+#pragma GCC unroll 8
+  for (int r = 0; r < kDotTile; ++r) {
+    const v8f av = load8(ar[r] + j);
+#pragma GCC unroll 8
+    for (int q = 0; q < kDotTile; ++q) acc[r][q] = fmadd8(av, bv[q], acc[r][q]);
   }
-  for (; j < n; ++j) lane[j & 7] += x[j] * y[j];
-  const float s01 = lane[0] + lane[1], s23 = lane[2] + lane[3];
-  const float s45 = lane[4] + lane[5], s67 = lane[6] + lane[7];
-  return (s01 + s23) + (s45 + s67);
+}
+
+// A 4 x 4 block of dot products of A rows with B rows, each in eight lanes:
+//   lane[l] = fmadd(a[j], b[j], lane[l]),  j = l, l + 8, l + 16, ... < n
+// then combine4, then C = d (or C + d). Rows past the matrix edge repeat
+// its last row, and their results are dropped. The last partial group of
+// eight comes from `a_tail`/`b_tail` (8 floats per row) padded with a = -0
+// and b = +0: their product -0 leaves a lane unchanged (x + -0 == x for
+// every x, zeros included).
+void dot_tile(const float* a, const float* a_tail, std::int64_t rows_a,
+              const float* b, const float* b_tail, std::int64_t rows_b,
+              float* c, std::int64_t n, std::int64_t ldc, bool accumulate) {
+  const std::int64_t n8 = n / 8 * 8;
+  DotRows ar, br, at, bt;
+#pragma GCC unroll 8
+  for (int t = 0; t < kDotTile; ++t) {
+    const std::int64_t ia = std::min<std::int64_t>(t, rows_a - 1);
+    const std::int64_t ib = std::min<std::int64_t>(t, rows_b - 1);
+    ar[t] = a + ia * n;
+    br[t] = b + ib * n;
+    at[t] = n8 < n ? a_tail + ia * 8 : nullptr;
+    bt[t] = n8 < n ? b_tail + ib * 8 : nullptr;
+  }
+  v8f acc[kDotTile][kDotTile] = {};
+  for (std::int64_t j = 0; j < n8; j += 8) dot_step(acc, ar, br, j);
+  if (n8 < n) dot_step(acc, at, bt, 0);
+#pragma GCC unroll 8
+  for (int r = 0; r < kDotTile; ++r) {
+    if (r == rows_a) break;
+    float* cr = c + r * ldc;
+    const v4f d = combine4(acc[r]);
+    if (rows_b >= kDotTile) {
+      v4f out;
+      std::memcpy(&out, cr, sizeof out);
+      out = accumulate ? out + d : d;
+      std::memcpy(cr, &out, sizeof out);
+    } else {
+      for (std::int64_t q = 0; q < rows_b; ++q) {
+        cr[q] = accumulate ? cr[q] + d[q] : d[q];
+      }
+    }
+  }
+}
+
+// The last n % 8 entries of each of `rows` rows, padded to 8 with `pad`.
+void pack_tails(const float* src, std::int64_t rows, std::int64_t n,
+                float pad, float* dst) {
+  const std::int64_t n8 = n / 8 * 8;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (int l = 0; l < 8; ++l) {
+      dst[r * 8 + l] = n8 + l < n ? src[r * n + n8 + l] : pad;
+    }
+  }
 }
 
 }  // namespace
 
-// C[m x k] (+)= A[m x n] * B[k x n]^T: rows of A against rows of B, i.e. a
-// grid of dot products over contiguous data — no packing needed.
+// C[m x k] (+)= A[m x n] * B[k x n]^T: rows of A against rows of B, a grid
+// of dot products over contiguous data.
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* ar = a + i * n;
-    float* cr = c + i * k;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float d = dot_lanes(ar, b + p * n, n);
-      cr[p] = accumulate ? cr[p] + d : d;
+  const float* a_tail = nullptr;
+  const float* b_tail = nullptr;
+  if (n % 8 != 0) {
+    float* tails = scratch(static_cast<std::size_t>((m + k) * 8));
+    pack_tails(a, m, n, -0.0f, tails);
+    pack_tails(b, k, n, 0.0f, tails + m * 8);
+    a_tail = tails;
+    b_tail = tails + m * 8;
+  }
+  for (std::int64_t i = 0; i < m; i += kDotTile) {
+    for (std::int64_t p = 0; p < k; p += kDotTile) {
+      dot_tile(a + i * n, a_tail ? a_tail + i * 8 : nullptr, m - i, b + p * n,
+               b_tail ? b_tail + p * 8 : nullptr, k - p, c + i * k + p, n, k,
+               accumulate);
     }
   }
 }

@@ -1,20 +1,31 @@
 // Math kernels over Tensor / float spans.
 //
 // These are the only numerical primitives the NN and compression substrates
-// use. The GEMM family is written as register-blocked, auto-vectorizable
-// micro-kernels (B-panel packing, 4-row register tiles, no data-dependent
-// branches) — single-threaded by design: inter-worker parallelism comes
+// use. They are single-threaded by design: inter-worker parallelism comes
 // from the runtime's compute offload (Process::advance_compute), which runs
 // many single-threaded kernels concurrently.
 //
 // Accumulation policy: every GEMM kernel (matmul / matmul_tn / matmul_nt
 // and the raw gemm_* entry points) accumulates in float32, matching the
-// fp32 training arithmetic of the frameworks the paper studies and keeping
-// all three transposition cases numerically consistent with each other.
-// BLAS-1 reductions over whole tensors (dot, sum, l2_norm) keep double
+// fp32 training arithmetic of the frameworks the paper studies. BLAS-1
+// reductions over whole tensors (dot, sum, l2_norm) keep double
 // accumulators: they feed convergence statistics where magnitude spread is
-// large. Kernels are deterministic: a fixed summation order, independent of
-// host core count and of the runtime's compute_threads setting.
+// large.
+//
+// GEMM arithmetic contract. Each output element is one fixed sequence of
+// multiply-adds, fmadd(a, b, c), which is a fused std::fma when the kernel
+// unit is built with FMA (__FMA__; the default native build on x86-64) and
+// c + a * b otherwise:
+//   gemm_nn  C[i][j] = chain over p = 0..k-1 of fmadd(A[i][p], B[p][j], .)
+//   gemm_tn  C[p][j] = chain over i = 0..m-1 of fmadd(A[i][p], B[i][j], .)
+// each chain starting from C (accumulate) or from +0. gemm_nt computes
+// each dot product in eight lanes, lane l chaining the products of
+// j = l, l+8, l+16, ... in order from +0, combines them as
+// ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then stores d or
+// C + d. The register-tiled kernels (ops.cpp) reproduce these sequences bit
+// for bit, so results do not depend on tile shapes, vector width, host
+// core count or the runtime's compute_threads; tests/test_tensor.cpp
+// (GemmContract) checks them against the plain loops.
 #pragma once
 
 #include <cstdint>

@@ -37,7 +37,7 @@ class Tensor {
   Tensor(std::initializer_list<std::int64_t> shape)
       : Tensor(Shape(shape)) {}
 
-  static std::int64_t numel_of(const Shape& shape) noexcept {
+  static std::int64_t numel_of(std::span<const std::int64_t> shape) noexcept {
     std::int64_t n = 1;
     for (std::int64_t d : shape) n *= d;
     return shape.empty() ? 0 : n;
@@ -70,13 +70,17 @@ class Tensor {
     for (float& x : data_) x = value;
   }
 
-  /// Resizes to `shape`, reusing the existing allocation when its capacity
-  /// suffices (the steady-state of a training loop, where shapes repeat
-  /// every step). Element values are unspecified after a size change:
-  /// callers that accumulate into the tensor must fill(0.0f) first.
-  void ensure_shape(Shape shape) {
+  /// Resizes to `shape`, reusing the existing allocations (data and shape)
+  /// when their capacity suffices: the steady state of a training loop,
+  /// where shapes repeat every step, never touches the heap. Element values
+  /// are unspecified after a size change: callers that accumulate into the
+  /// tensor must fill(0.0f) first.
+  void ensure_shape(std::span<const std::int64_t> shape) {
     data_.resize(static_cast<std::size_t>(numel_of(shape)));
-    shape_ = std::move(shape);
+    shape_.assign(shape.begin(), shape.end());
+  }
+  void ensure_shape(std::initializer_list<std::int64_t> shape) {
+    ensure_shape(std::span<const std::int64_t>(shape.begin(), shape.size()));
   }
 
   /// Reinterprets the same storage with a new shape of equal element count.

@@ -7,7 +7,8 @@
 // session at two iteration counts and divides the extra allocations made
 // inside Session::run by the extra wire messages. Setup, process spawn and
 // teardown cost the same at both lengths and cancel; what is left is the
-// per-message (and per-iteration) allocator traffic.
+// per-message (and per-iteration) allocator traffic. The functional case
+// counts one training step directly: it must not allocate at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "common/ini.hpp"
 #include "core/experiment.hpp"
 #include "core/session.hpp"
+#include "core/workload.hpp"
 
 namespace {
 
@@ -140,6 +142,26 @@ TEST(AllocationBudget, TracedRingAllReduceStaysWithinBudget) {
 
 TEST(AllocationBudget, TracedParameterServerStaysWithinBudget) {
   EXPECT_LE(allocations_per_extra_message("bsp", true), kMaxAllocsPerMessage);
+}
+
+// A functional training step (next mini-batch, forward, loss, backward)
+// reuses every buffer it touched on the previous step: the batch, layer
+// activations and gradients, the loss gradient and the model's slot index.
+TEST(AllocationBudget, FunctionalComputeGradientsIsAllocationFree) {
+  FunctionalWorkloadSpec spec;
+  spec.num_workers = 2;
+  Workload wl = make_functional_workload(spec);
+  // Warm-up: one full epoch per worker, so every batch shape (including a
+  // short last batch) and the epoch-end reshuffle have been seen.
+  const std::int64_t steps = wl.iterations_per_epoch() + 2;
+  for (std::int64_t i = 0; i < steps; ++i) {
+    for (int w = 0; w < wl.num_workers(); ++w) (void)wl.compute_gradients(w);
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (std::int64_t i = 0; i < steps; ++i) {
+    for (int w = 0; w < wl.num_workers(); ++w) (void)wl.compute_gradients(w);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <sstream>
 
@@ -319,6 +320,49 @@ TEST(Sequential, BackwardHookFiresPerParamLayerInReverse) {
     firsts.push_back(first);
   });
   EXPECT_EQ(firsts, (std::vector<std::size_t>{2, 0}));
+}
+
+TEST(Sequential, BackwardSkipsFirstInputGradientWithIdenticalParamGrads) {
+  // Sequential::backward does not compute the first layer's dL/d(input),
+  // which nothing reads. The parameter gradients must be bit-identical to
+  // a manual layer-by-layer backward that still computes it.
+  auto make = [] {
+    Sequential m;
+    m.add<Dense>("fc1", 12, 16);
+    m.add<ReLU>();
+    m.add<Dense>("fc2", 16, 16);
+    m.add<ReLU>();
+    m.add<Dense>("fc3", 16, 5);
+    return m;
+  };
+  Sequential fast = make();
+  Sequential manual = make();
+  common::Rng rng(31);
+  fast.init(rng);
+  manual.load(fast.snapshot());
+  Tensor x({9, 12}), gout({9, 5});
+  tensor::fill_normal(x, rng, 1.0f);
+  tensor::fill_normal(gout, rng, 1.0f);
+  for (int step = 0; step < 2; ++step) {  // gradients accumulate over steps
+    fast.forward(x);
+    fast.backward(gout);
+    manual.forward(x);
+    const Tensor* g = &gout;
+    for (std::size_t i = manual.num_layers(); i-- > 0;) {
+      g = &manual.layer(i).backward(*g);
+    }
+    EXPECT_EQ(g->shape(), x.shape());  // layer 0's input gradient exists
+  }
+  const std::vector<Tensor> got = fast.gradients();
+  const std::vector<Tensor> want = manual.gradients();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    ASSERT_EQ(got[s].numel(), want[s].numel());
+    EXPECT_EQ(std::memcmp(got[s].data().data(), want[s].data().data(),
+                          sizeof(float) * got[s].data().size()),
+              0)
+        << "slot " << s;
+  }
 }
 
 TEST(BatchNorm1d, NormalizesTrainingBatch) {

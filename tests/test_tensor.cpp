@@ -1,9 +1,15 @@
 // Unit + property tests for the tensor substrate. GEMM variants are checked
-// against a naive reference over randomized shapes (parameterized).
+// against a naive reference over randomized shapes (parameterized), and bit
+// for bit against the explicit multiply-add loops of their contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -171,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(1, 64, 1), std::make_tuple(33, 17, 9),
                       std::make_tuple(64, 72, 65),
-                      // Crosses the kernels' packing-panel boundaries
+                      // Crosses the kernels' cache-block boundaries
                       // (kKc = 128 reduction depth, kNc = 256 columns).
                       std::make_tuple(9, 131, 260),
                       std::make_tuple(130, 300, 270)));
@@ -338,6 +344,163 @@ TEST(Ops, TopKBadKThrows) {
   std::vector<float> x = {1, 2, 3};
   EXPECT_THROW((void)topk_abs_threshold(x, 0), common::Error);
   EXPECT_THROW((void)topk_abs_threshold(x, 4), common::Error);
+}
+
+// ---- the GEMM kernels' arithmetic, bit for bit ------------------------------
+//
+// ops.hpp fixes how every GEMM output element is computed, not only how close
+// it lands: the loops below spell that contract out one element at a time,
+// and every kernel must reproduce them exactly. This file is compiled with
+// the kernel translation unit's flags (tests/CMakeLists.txt), so __FMA__
+// means the same thing here as in ops.cpp.
+
+float fmadd(float a, float b, float c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
+
+// C(m x n) (+)= A(m x k) * B(k x n): one in-order chain over p per element.
+void fma_ref_nn(const float* a, const float* b, float* c, std::int64_t m,
+                std::int64_t k, std::int64_t n, bool accumulate) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float s = accumulate ? c[i * n + j] : 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        s = fmadd(a[i * k + p], b[p * n + j], s);
+      }
+      c[i * n + j] = s;
+    }
+  }
+}
+
+// C(k x n) (+)= A(m x k)^T * B(m x n): one in-order chain over i per element.
+void fma_ref_tn(const float* a, const float* b, float* c, std::int64_t m,
+                std::int64_t k, std::int64_t n, bool accumulate) {
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float s = accumulate ? c[p * n + j] : 0.0f;
+      for (std::int64_t i = 0; i < m; ++i) {
+        s = fmadd(a[i * k + p], b[i * n + j], s);
+      }
+      c[p * n + j] = s;
+    }
+  }
+}
+
+// C(m x k) (+)= A(m x n) * B(k x n)^T: eight chains per element, lane j % 8
+// taking every eighth product in order, then a fixed pairwise combine; the
+// prior C value is added to the finished dot.
+void fma_ref_nt(const float* a, const float* b, float* c, std::int64_t m,
+                std::int64_t n, std::int64_t k, bool accumulate) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      float lane[8] = {};
+      for (std::int64_t j = 0; j < n; ++j) {
+        lane[j % 8] = fmadd(a[i * n + j], b[p * n + j], lane[j % 8]);
+      }
+      const float d = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                      ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+      c[i * k + p] = accumulate ? c[i * k + p] + d : d;
+    }
+  }
+}
+
+using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
+                        std::int64_t, std::int64_t, bool);
+
+// Values spread over nine binades with signed zeros mixed in, so a kernel
+// that reorders, splits or un-fuses any chain shows up in the last bits.
+std::vector<float> contract_values(common::Rng& rng, std::int64_t count) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) {
+    if (rng.bernoulli(0.05)) {
+      x = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    } else {
+      x = static_cast<float>(
+          std::ldexp(rng.normal(), static_cast<int>(rng.uniform_int(-4, 4))));
+    }
+  }
+  return v;
+}
+
+// Log-uniform in [1, hi]: most shapes stay small, a few reach hi.
+std::int64_t log_uniform_dim(common::Rng& rng, std::int64_t hi) {
+  const double x = std::exp(rng.uniform(0.0, std::log(hi + 1.0)));
+  return std::clamp<std::int64_t>(static_cast<std::int64_t>(x), 1, hi);
+}
+
+// Runs `kernel` and `ref` on kShapes seeded shapes, with accumulate off and
+// on, and counts output elements whose bits differ. (d0, d1, d2) are the
+// kernel's three dimension arguments in order; `c_rows`/`c_cols` pick the
+// output's extent from them.
+void expect_matches_fma_reference(GemmFn kernel, GemmFn ref, int a_rows,
+                                  int a_cols, int b_rows, int b_cols,
+                                  int c_rows, int c_cols, std::uint64_t seed) {
+  constexpr int kShapes = 1000;
+  common::Rng rng(seed);
+  std::int64_t checked = 0, mismatched = 0;
+  std::string first_failure;
+  for (int s = 0; s < kShapes; ++s) {
+    std::int64_t d[3] = {log_uniform_dim(rng, 300), log_uniform_dim(rng, 300),
+                         log_uniform_dim(rng, 300)};
+    switch (s % 5) {
+      case 1:  // narrow last dimension: below one vector
+        d[2] = rng.uniform_int(1, 15);
+        break;
+      case 4:  // narrow middle dimension (gemm_nt's dot length)
+        d[1] = rng.uniform_int(1, 15);
+        break;
+      case 2:  // deep reductions
+        d[1] = rng.uniform_int(129, 300);
+        break;
+      case 3:  // row counts that no register tile divides
+        d[0] = 8 * rng.uniform_int(0, 20) + rng.uniform_int(1, 7);
+        break;
+      default:
+        break;
+    }
+    const std::vector<float> a = contract_values(rng, d[a_rows] * d[a_cols]);
+    const std::vector<float> b = contract_values(rng, d[b_rows] * d[b_cols]);
+    const std::vector<float> c0 = contract_values(rng, d[c_rows] * d[c_cols]);
+    for (bool accumulate : {false, true}) {
+      std::vector<float> got = c0, want = c0;
+      kernel(a.data(), b.data(), got.data(), d[0], d[1], d[2], accumulate);
+      ref(a.data(), b.data(), want.data(), d[0], d[1], d[2], accumulate);
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        ++checked;
+        if (std::bit_cast<std::uint32_t>(got[e]) ==
+            std::bit_cast<std::uint32_t>(want[e])) {
+          continue;
+        }
+        if (mismatched++ == 0) {
+          first_failure = "shape (" + std::to_string(d[0]) + ", " +
+                          std::to_string(d[1]) + ", " + std::to_string(d[2]) +
+                          ") accumulate=" + std::to_string(accumulate) +
+                          " element " + std::to_string(e);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1'000'000);
+  EXPECT_EQ(mismatched, 0) << "first differing output: " << first_failure;
+}
+
+TEST(GemmContract, NnMatchesExplicitFmaReference) {
+  // gemm_nn(a, b, c, m, k, n): A m x k, B k x n, C m x n.
+  expect_matches_fma_reference(gemm_nn, fma_ref_nn, 0, 1, 1, 2, 0, 2, 101);
+}
+
+TEST(GemmContract, TnMatchesExplicitFmaReference) {
+  // gemm_tn(a, b, c, m, k, n): A m x k, B m x n, C k x n.
+  expect_matches_fma_reference(gemm_tn, fma_ref_tn, 0, 1, 0, 2, 1, 2, 202);
+}
+
+TEST(GemmContract, NtMatchesExplicitFmaReference) {
+  // gemm_nt(a, b, c, m, n, k): A m x n, B k x n, C m x k.
+  expect_matches_fma_reference(gemm_nt, fma_ref_nt, 0, 1, 2, 1, 0, 2, 303);
 }
 
 }  // namespace
