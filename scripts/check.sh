@@ -39,10 +39,13 @@
 #                                    # under AddressSanitizer
 #   scripts/check.sh observers       # observer-export smoke: the ctest
 #                                    # label `observers` (test_metrics,
-#                                    # test_registry, test_observability)
-#                                    # plus test_golden (byte pins of the
-#                                    # trace, CSV, JSONL and profiler
-#                                    # outputs), under AddressSanitizer +
+#                                    # test_registry, test_observability,
+#                                    # test_profile — the critical-path
+#                                    # analyzer's hand-indexed rows and its
+#                                    # differential test) plus test_golden
+#                                    # (byte pins of the trace, CSV, JSONL
+#                                    # and profiler outputs), under
+#                                    # AddressSanitizer +
 #                                    # UndefinedBehaviorSanitizer
 #
 # Sanitized builds go to build-<sanitizer>/ so they never pollute the plain
@@ -120,8 +123,9 @@ fi
 
 if [[ "$SANITIZER" == "observers" ]]; then
   # Observer-export smoke: the string interner hands out string_view keys
-  # into its table and the exporters write through a hand-managed chunk
-  # buffer — exactly what ASan and UBSan catch. Own tree, since no other
+  # into its table, the exporters write through a hand-managed chunk
+  # buffer and the critical-path analyzer walks hand-indexed CSR rows —
+  # exactly what ASan and UBSan catch. Own tree, since no other
   # mode combines the two sanitizers. The flags go in CMAKE_CXX_FLAGS, not
   # DT_SANITIZE: DT_SANITIZE also drops the tensor kernels' native -O3/FMA
   # build, which changes float rounding, and test_golden's parameter hashes
@@ -132,7 +136,8 @@ if [[ "$SANITIZER" == "observers" ]]; then
     "-DCMAKE_CXX_FLAGS=$SAN -fno-omit-frame-pointer" \
     "-DCMAKE_EXE_LINKER_FLAGS=$SAN"
   cmake --build "$DIR" -j "$(nproc)" \
-    --target test_metrics test_registry test_observability test_golden
+    --target test_metrics test_registry test_observability test_profile \
+    test_golden
   ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" \
     -L observers
   "$DIR/tests/test_golden"

@@ -613,16 +613,16 @@ metrics::RunResult Session::run() {
     // Endpoint registration is deferred to here so launcher-created
     // endpoints (collectives, backups) are covered too; edges recorded
     // mid-run only carry ids.
+    std::vector<int> ep_rank(
+        static_cast<std::size_t>(network->num_endpoints()), -1);
+    for (int r = cfg.num_workers - 1; r >= 0; --r) {  // lowest rank wins
+      const int ep = worker_ep[static_cast<std::size_t>(r)];
+      ep_rank[static_cast<std::size_t>(ep)] = r;
+    }
     for (int ep = 0; ep < network->num_endpoints(); ++ep) {
-      int rank = -1;
-      for (int r = 0; r < cfg.num_workers; ++r) {
-        if (worker_ep[static_cast<std::size_t>(r)] == ep) {
-          rank = r;
-          break;
-        }
-      }
       spans_->register_endpoint(ep, network->endpoint_name(ep),
-                                network->machine_of(ep), rank);
+                                network->machine_of(ep),
+                                ep_rank[static_cast<std::size_t>(ep)]);
     }
     result.profile = std::make_shared<const profile::RunProfile>(
         profile::analyze(*spans_, result.virtual_duration, cfg.num_workers,

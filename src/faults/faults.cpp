@@ -85,19 +85,22 @@ FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t seed,
     }
   }
 
+  // Named by their [failures] INI keys.
   const MsgFaults& m = cfg_.msg;
   common::check(m.loss_prob >= 0.0 && m.loss_prob < 1.0,
-                "FaultPlan: msg_loss_prob must be in [0, 1)");
+                "FaultPlan: [failures] loss_prob must be in [0, 1)");
   common::check(m.dup_prob >= 0.0 && m.dup_prob < 1.0,
-                "FaultPlan: msg_dup_prob must be in [0, 1)");
+                "FaultPlan: [failures] dup_prob must be in [0, 1)");
   common::check(m.reorder_prob >= 0.0 && m.reorder_prob < 1.0,
-                "FaultPlan: msg_reorder_prob must be in [0, 1)");
+                "FaultPlan: [failures] reorder_prob must be in [0, 1)");
   common::check(m.reorder_window >= 0.0,
-                "FaultPlan: msg_reorder_window must be >= 0");
+                "FaultPlan: [failures] reorder_window must be >= 0");
   common::check(m.reorder_prob == 0.0 || m.reorder_window > 0.0,
-                "FaultPlan: msg_reorder_prob > 0 needs msg_reorder_window > 0");
+                "FaultPlan: [failures] reorder_prob > 0 needs "
+                "reorder_window > 0 (its default is 0)");
   for (int machine : m.machines) {
-    common::check(machine >= 0, "FaultPlan: lossy machine index < 0");
+    common::check(machine >= 0,
+                  "FaultPlan: [failures] lossy_machines entry < 0");
   }
 
   for (const auto& pc : cfg_.ps_crashes) {

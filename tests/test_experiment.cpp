@@ -292,6 +292,28 @@ TEST(Experiment, StrictValidationRejectsUnknownSectionsAndKeys) {
   }
 }
 
+TEST(Experiment, ReorderWithoutWindowFailsNamingTheIniKey) {
+  // reorder_window defaults to 0, so a reorder probability alone is
+  // invalid; the error must name the [failures] key to set.
+  const auto spec = core::ExperimentSpec::from_ini(
+      common::IniConfig::parse_string("[experiment]\n"
+                                      "algorithm = bsp\n"
+                                      "mode = throughput\n"
+                                      "workers = 2\n"
+                                      "iterations = 2\n"
+                                      "[failures]\n"
+                                      "reorder_prob = 0.01\n"));
+  core::Workload wl = spec.make_workload();
+  try {
+    (void)core::run_training(spec.config, wl);
+    FAIL() << "reorder_prob without reorder_window accepted";
+  } catch (const common::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("reorder_window"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("msg_"), std::string::npos) << msg;
+  }
+}
+
 TEST(Experiment, IniSchemaResolvesKeysToUniqueSections) {
   EXPECT_TRUE(core::experiment_ini_known("experiment", "workers"));
   EXPECT_TRUE(core::experiment_ini_known("cluster", "nic_gbps"));

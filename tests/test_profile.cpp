@@ -3,10 +3,15 @@
 // determinism contract — the span JSONL and the bottleneck report must be
 // byte-identical at compute_threads 1 vs 8, with and without injected
 // faults, and the critical-path length must equal the run's end-to-end
-// virtual time (the walk tiles [0, makespan] by construction).
+// virtual time (the walk tiles [0, makespan] by construction). The
+// RunProfile goldens pin every field of five runs' profiles bit for bit;
+// regenerate them only for a deliberate analyzer change:
+//   DT_GOLDEN_CAPTURE=1 ./test_profile --gtest_filter='ProfileGolden*'
+// test_profile_oracle.cpp holds the differential tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +19,7 @@
 #include "core/trainer.hpp"
 #include "profile/critical_path.hpp"
 #include "profile/spans.hpp"
+#include "profile_oracle.hpp"
 
 namespace dt::profile {
 namespace {
@@ -142,10 +148,21 @@ struct ProfArtifacts {
   double virtual_duration = 0.0;
 };
 
-/// One functional BSP run with the profiler on. `threads` is the
-/// compute-offload pool size; `with_faults` adds a persistent straggler and
-/// a degraded-link window (both deterministic in the seed).
-ProfArtifacts run_profiled(int threads, bool with_faults) {
+/// The functional fixture the observer goldens use: 4 workers on 2
+/// machines, one PS shard per machine, seeds 23/7.
+core::TrainConfig fixture_config(core::Algo algo) {
+  core::TrainConfig cfg;
+  cfg.algo = algo;
+  cfg.num_workers = 4;
+  cfg.epochs = 2.0;
+  cfg.lr = nn::LrSchedule::paper(4, cfg.epochs, 0.02);
+  cfg.cluster.workers_per_machine = 2;
+  cfg.opt.ps_shards_per_machine = 1;
+  cfg.seed = 7;
+  return cfg;
+}
+
+core::Workload fixture_workload() {
   core::FunctionalWorkloadSpec spec;
   spec.train_samples = 256;
   spec.test_samples = 64;
@@ -155,19 +172,19 @@ ProfArtifacts run_profiled(int threads, bool with_faults) {
   spec.batch = 8;
   spec.num_workers = 4;
   spec.seed = 23;
-  core::Workload wl = core::make_functional_workload(spec);
+  return core::make_functional_workload(spec);
+}
+
+/// One functional BSP run with the profiler on. `threads` is the
+/// compute-offload pool size; `with_faults` adds a persistent straggler and
+/// a degraded-link window (both deterministic in the seed).
+ProfArtifacts run_profiled(int threads, bool with_faults) {
+  core::Workload wl = fixture_workload();
 
   const std::string jsonl = "/tmp/dt_profile_t" + std::to_string(threads) +
                             (with_faults ? "_faults" : "") + ".spans.jsonl";
 
-  core::TrainConfig cfg;
-  cfg.algo = core::Algo::bsp;
-  cfg.num_workers = 4;
-  cfg.epochs = 2.0;
-  cfg.lr = nn::LrSchedule::paper(4, cfg.epochs, 0.02);
-  cfg.cluster.workers_per_machine = 2;
-  cfg.opt.ps_shards_per_machine = 1;
-  cfg.seed = 7;
+  core::TrainConfig cfg = fixture_config(core::Algo::bsp);
   cfg.compute_threads = threads;
   cfg.profile_spans_jsonl = jsonl;  // implies profiling_enabled()
   if (with_faults) {
@@ -257,6 +274,81 @@ TEST(ProfileInvariants, ProfilingDoesNotPerturbTheRun) {
   EXPECT_EQ(plain.wire_messages, profiled.wire_messages);
   EXPECT_FALSE(plain.profile);
   ASSERT_TRUE(profiled.profile);
+}
+
+// ---------------------------------------------------------------------------
+// RunProfile golden fixtures: every field, bit for bit
+// ---------------------------------------------------------------------------
+
+/// Runs `cfg` on the fixture workload and compares oracle::dump of its
+/// RunProfile with tests/golden/<stem>.runprofile. With DT_GOLDEN_CAPTURE
+/// set, rewrites the fixture instead.
+void expect_profile_matches_golden(core::TrainConfig cfg,
+                                   const std::string& stem) {
+  core::Workload wl = fixture_workload();
+  cfg.profile = true;
+  const auto result = core::run_training(cfg, wl);
+  ASSERT_TRUE(result.profile);
+  const std::string got = oracle::dump(*result.profile);
+  const std::string path = std::string(DT_GOLDEN_DIR) + "/" + stem +
+                           ".runprofile";
+  if (std::getenv("DT_GOLDEN_CAPTURE") != nullptr) {
+    std::ofstream(path, std::ios::binary) << got;
+    return;
+  }
+  EXPECT_EQ(got, slurp(path)) << "RunProfile deviates from " << path;
+}
+
+TEST(ProfileGolden, BspFaultRunMatchesFixture) {
+  // The bsp_faults_seed spec: a 2x straggler plus a crash with recovery.
+  core::TrainConfig cfg = fixture_config(core::Algo::bsp);
+  cfg.faults.slow_ranks.push_back({1, 2.0});
+  faults::Crash c;
+  c.rank = 2;
+  c.at = 0.5;
+  c.downtime = 0.4;
+  cfg.faults.crashes.push_back(c);
+  expect_profile_matches_golden(cfg, "bsp_faults_seed");
+}
+
+TEST(ProfileGolden, ArsgdWaitFreeBpMatchesFixture) {
+  core::TrainConfig cfg = fixture_config(core::Algo::arsgd);
+  cfg.opt.wait_free_bp = true;
+  expect_profile_matches_golden(cfg, "arsgd_wfbp");
+}
+
+TEST(ProfileGolden, AdpsgdMatchesFixture) {
+  expect_profile_matches_golden(fixture_config(core::Algo::adpsgd),
+                                "adpsgd");
+}
+
+TEST(ProfileGolden, LossyReplicatedPsBspMatchesFixture) {
+  // The ps_lossy_traced spec: lossy links, replicated shards, a primary
+  // crash and failover.
+  core::TrainConfig cfg = fixture_config(core::Algo::bsp);
+  cfg.reliability.replicate_ps = true;
+  cfg.faults.msg.loss_prob = 0.05;
+  cfg.faults.ps_crashes = {{0, 4.0}};
+  expect_profile_matches_golden(cfg, "ps_lossy");
+}
+
+TEST(ProfileGolden, ArsgdRingRepairCrashMatchesFixture) {
+  // sync_policy = drop: the survivors abort the round, re-form the ring
+  // without rank 2 and readmit it after its downtime.
+  core::Workload base_wl = fixture_workload();
+  const core::TrainConfig base = fixture_config(core::Algo::arsgd);
+  const double d = core::run_training(base, base_wl).virtual_duration;
+  core::TrainConfig cfg = fixture_config(core::Algo::arsgd);
+  faults::Crash c;
+  c.rank = 2;
+  c.at = 0.3 * d;
+  c.downtime = 0.4 * d;
+  cfg.faults.crashes.push_back(c);
+  cfg.faults.sync_policy = faults::SyncPolicy::drop;
+  cfg.membership.period_s = 0.01 * d;
+  cfg.membership.timeout_s = 0.05 * d;
+  cfg.membership.confirm_s = 0.02 * d;
+  expect_profile_matches_golden(cfg, "arsgd_drop");
 }
 
 }  // namespace
