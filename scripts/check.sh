@@ -38,8 +38,11 @@
 #                                    # memory/throughput frontier campaign,
 #                                    # under AddressSanitizer
 #   scripts/check.sh observers       # observer-export smoke: the ctest
-#                                    # label `observers` (test_metrics,
-#                                    # test_registry, test_observability,
+#                                    # label `observers` (test_metrics —
+#                                    # incl. the number-memo equivalence
+#                                    # tests, test_registry,
+#                                    # test_observability — incl. the
+#                                    # network's cached flow ids,
 #                                    # test_profile — the critical-path
 #                                    # analyzer's hand-indexed rows and its
 #                                    # differential test) plus test_golden
@@ -124,8 +127,9 @@ fi
 if [[ "$SANITIZER" == "observers" ]]; then
   # Observer-export smoke: the string interner hands out string_view keys
   # into its table, the exporters write through a hand-managed chunk
-  # buffer and the critical-path analyzer walks hand-indexed CSR rows —
-  # exactly what ASan and UBSan catch. Own tree, since no other
+  # buffer (number memos copy fixed-size text into it), the network caches
+  # interned flow ids per trace, and the critical-path analyzer walks
+  # hand-indexed CSR rows — exactly what ASan and UBSan catch. Own tree, since no other
   # mode combines the two sanitizers. The flags go in CMAKE_CXX_FLAGS, not
   # DT_SANITIZE: DT_SANITIZE also drops the tensor kernels' native -O3/FMA
   # build, which changes float rounding, and test_golden's parameter hashes

@@ -88,11 +88,13 @@ void TimeSeriesSampler::write_csv(std::ostream& os) const {
     }
   }
   w.put('\n');
+  // Most series hold still between ticks: memo each column's last value.
+  std::vector<ChunkWriter::NumberMemo> memo(columns_.size());
   for (const Row& r : rows_) {
     w.number(r.t);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       w.put(',');
-      w.number(c < r.width ? values_[r.begin + c] : 0.0);
+      w.number(c < r.width ? values_[r.begin + c] : 0.0, memo[c]);
     }
     w.put('\n');
   }

@@ -23,12 +23,11 @@ void TraceLog::record(Id track, Id name, double start, double end) {
   events_.push_back(Event{track, name, start, end});
 }
 
-void TraceLog::flow(std::string_view src_track, std::string_view dst_track,
-                    std::string_view name, double sent, double arrival,
-                    std::uint64_t id) {
+void TraceLog::flow(Id src_track, Id dst_track, Id name, double sent,
+                    double arrival, std::uint64_t id) {
   common::check(arrival >= sent, "TraceLog: flow arrives before it is sent");
-  flow_events_.push_back(FlowEvent{intern(src_track), intern(dst_track),
-                                   intern(name), sent, arrival, id});
+  flow_events_.push_back(
+      FlowEvent{src_track, dst_track, name, sent, arrival, id});
 }
 
 void TraceLog::write_chrome_json(std::ostream& os) const {
@@ -94,12 +93,16 @@ void TraceLog::write_chrome_json(std::ostream& os) const {
     w.number((e.end - e.start) * 1e6);
     w.put('}');
   }
+  // A sampler tick stamps every series with one time, and most series hold
+  // still between ticks: memo the time, and each series' value by name id.
+  ChunkWriter::NumberMemo counter_ts;
+  std::vector<ChunkWriter::NumberMemo> counter_value(strings_.size());
   for (const CounterEvent& e : counter_events_) {
     head(R"({"ph":"C","pid":0,"tid":)", e.track, e.name);
     w.put(R"(","ts":)");
-    w.number(e.t * 1e6);
+    w.number(e.t * 1e6, counter_ts);
     w.put(R"(,"args":{"value":)");
-    w.number(e.value);
+    w.number(e.value, counter_value[e.name]);
     w.put("}}");
   }
   for (const InstantEvent& e : instant_events_) {

@@ -20,9 +20,11 @@
 // string ids plus doubles. The string-taking record/counter/instant/flow
 // calls look their strings up by std::string_view, so a name the log
 // already knows costs a hash and no allocation; callers on a per-message
-// path can intern() once and pass ids. write_chrome_json streams through
-// a bounded metrics::ChunkWriter buffer (metrics/writer.hpp) and escapes
-// each distinct string once.
+// path intern() once and pass ids (net::Network caches its flow ids per
+// endpoint pair). write_chrome_json streams through a bounded
+// metrics::ChunkWriter buffer (metrics/writer.hpp), escapes each distinct
+// string once, and formats a counter timestamp or a counter series' value
+// only when it differs from the previous one.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +74,12 @@ class TraceLog {
   /// ends; use a fresh id per message.
   void flow(std::string_view src_track, std::string_view dst_track,
             std::string_view name, double sent, double arrival,
+            std::uint64_t id) {
+    const Id src = intern(src_track);
+    const Id dst = intern(dst_track);
+    flow(src, dst, intern(name), sent, arrival, id);
+  }
+  void flow(Id src_track, Id dst_track, Id name, double sent, double arrival,
             std::uint64_t id);
 
   /// Names the (single) trace process — emitted as a "process_name"

@@ -76,6 +76,13 @@ void ChunkWriter::number(double v, int precision) {
       format_into(buf_.get() + len_, end, v, precision) - buf_.get());
 }
 
+void ChunkWriter::remember(double v, std::uint64_t bits, NumberMemo& memo) {
+  char* const end = format_into(memo.text_, memo.text_ + sizeof(memo.text_),
+                                v, 6);
+  memo.len_ = static_cast<std::uint8_t>(end - memo.text_);
+  memo.bits_ = bits;
+}
+
 void ChunkWriter::flush() {
   if (len_ == 0) return;
   os_.write(buf_.get(), static_cast<std::streamsize>(len_));

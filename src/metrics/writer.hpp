@@ -12,10 +12,16 @@
 //     exact text a default-flags `std::ostream << double` prints at that
 //     precision (tests/test_metrics.cpp pins the equivalence);
 //   - integers in plain decimal.
+//
+// Most numbers an export prints repeat the last one printed at the same
+// site; a NumberMemo turns such a repeat into a copy of the text.
 #pragma once
 
+#include <bit>
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -52,6 +58,26 @@ class ChunkWriter {
   /// `v` as format_number(v, precision) would return it.
   void number(double v, int precision = 6);
 
+  /// The last number one call site printed at the default precision.
+  class NumberMemo {
+    friend class ChunkWriter;
+    std::uint64_t bits_ = 0;
+    std::uint8_t len_ = 0;  // 0: empty (every formatted number is nonempty)
+    char text_[23] = {};    // precision-6 text is at most 13 chars
+  };
+
+  /// `v` as number(v) prints it, reusing `memo`'s text when `v` has the
+  /// bit pattern printed last through it (so 0.0 and -0.0, or two NaN
+  /// payloads, never share text).
+  void number(double v, NumberMemo& memo) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    if (memo.len_ == 0 || memo.bits_ != bits) remember(v, bits, memo);
+    static_assert(sizeof(NumberMemo::text_) <= kMaxNumberChars);
+    reserve_number();  // room for all of text_: a constant-size copy
+    std::memcpy(buf_.get() + len_, memo.text_, sizeof(memo.text_));
+    len_ += memo.len_;
+  }
+
   template <typename Int,
             typename = std::enable_if_t<std::is_integral_v<Int>>>
   void integer(Int v) {
@@ -70,6 +96,8 @@ class ChunkWriter {
   void reserve_number() {
     if (kChunkBytes - len_ < kMaxNumberChars) flush();
   }
+  /// Formats `v` into `memo`, keyed by `bits`.
+  static void remember(double v, std::uint64_t bits, NumberMemo& memo);
 
   std::ostream& os_;
   std::unique_ptr<char[]> buf_;

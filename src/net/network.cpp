@@ -183,7 +183,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   if (lost) {
     if (ctr_lost_ != nullptr) ctr_lost_->inc();
     if (trace_ != nullptr) {
-      trace_flow("lost ", src_endpoint, dst_endpoint, now, arrival);
+      trace_flow(FlowKind::lost, src_endpoint, dst_endpoint, now, arrival);
     }
     return;
   }
@@ -201,7 +201,7 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
                       src_machine != dst_machine);
     }
     if (trace_ != nullptr) {
-      trace_flow("", src_endpoint, dst_endpoint, now, arr);
+      trace_flow(FlowKind::delivered, src_endpoint, dst_endpoint, now, arr);
     }
     p.src_endpoint = src_endpoint;
     p.sent_at = now;
@@ -220,15 +220,23 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   }
 }
 
-void Network::trace_flow(std::string_view prefix, int src_endpoint,
-                         int dst_endpoint, double sent, double arrival) {
-  const std::string& src = endpoint_name(src_endpoint);
-  const std::string& dst = endpoint_name(dst_endpoint);
-  flow_name_.assign(prefix);
-  flow_name_ += src;
-  flow_name_ += "->";
-  flow_name_ += dst;
-  trace_->flow(src, dst, flow_name_, sent, arrival, ++flow_seq_);
+void Network::trace_flow(FlowKind kind, int src_endpoint, int dst_endpoint,
+                         double sent, double arrival) {
+  const auto key = static_cast<std::uint64_t>(kind) << 62 |
+                   static_cast<std::uint64_t>(src_endpoint) << 31 |
+                   static_cast<std::uint64_t>(dst_endpoint);
+  auto [it, added] = flow_ids_.try_emplace(key);
+  if (added) {
+    static constexpr const char* kPrefix[] = {"", "lost ", "recover "};
+    const std::string& src = endpoint_name(src_endpoint);
+    const std::string& dst = endpoint_name(dst_endpoint);
+    it->second = {trace_->intern(src), trace_->intern(dst),
+                  trace_->intern(kPrefix[static_cast<int>(kind)] + src +
+                                 "->" + dst)};
+  }
+  const FlowIds& ids = it->second;
+  trace_->flow(ids.src_track, ids.dst_track, ids.name, sent, arrival,
+               ++flow_seq_);
 }
 
 std::size_t Network::drain(int endpoint_id) {
@@ -252,7 +260,7 @@ void Network::transfer(runtime::Process& self, int src_endpoint,
                     src_machine != dst_machine);
   }
   if (trace_ != nullptr) {
-    trace_flow("recover ", src_endpoint, dst_endpoint, now, arrival);
+    trace_flow(FlowKind::recover, src_endpoint, dst_endpoint, now, arrival);
   }
   if (arrival > now) self.advance(arrival - now);
 }

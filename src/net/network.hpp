@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "faults/faults.hpp"
@@ -115,7 +116,10 @@ class Network {
 
   /// Attaches a trace: every send records a flow event from the source
   /// endpoint's track to the destination's (arrows in Perfetto).
-  void set_trace(metrics::TraceLog* trace) noexcept { trace_ = trace; }
+  void set_trace(metrics::TraceLog* trace) {
+    trace_ = trace;
+    flow_ids_.clear();  // ids belong to the previous log
+  }
 
   /// Attaches a profiler span sink: every delivered message (send and bulk
   /// transfer; duplicates too, lost packets not) is recorded as a message
@@ -188,10 +192,14 @@ class Network {
   double model_transfer(int src_machine, int dst_machine,
                         std::uint64_t wire_bytes, double now);
 
-  /// Records one flow named "<prefix><src>-><dst>" on the trace. The name
-  /// is built in a reused buffer and interned, so a known pair costs no
-  /// allocation.
-  void trace_flow(std::string_view prefix, int src_endpoint, int dst_endpoint,
+  /// What a traced flow is; its name is "<prefix><src>-><dst>" with the
+  /// kind's prefix ("", "lost ", "recover ").
+  enum class FlowKind : std::uint64_t { delivered, lost, recover };
+
+  /// Records one flow on the trace. The (source track, destination track,
+  /// name) ids are interned once per (kind, src, dst) and cached, so a
+  /// known triple costs one hash lookup.
+  void trace_flow(FlowKind kind, int src_endpoint, int dst_endpoint,
                   double sent, double arrival);
 
   // Observability sinks (optional; resolved once in set_metrics).
@@ -204,7 +212,10 @@ class Network {
   metrics::Counter* ctr_lost_ = nullptr;
   metrics::Counter* ctr_reordered_ = nullptr;
   std::uint64_t flow_seq_ = 0;
-  std::string flow_name_;  // trace_flow's reused name buffer
+  struct FlowIds {
+    std::uint32_t src_track, dst_track, name;  // metrics::TraceLog::Id
+  };
+  std::unordered_map<std::uint64_t, FlowIds> flow_ids_;  // by trace_flow key
   metrics::Counter* ctr_bytes_inter_ = nullptr;
   metrics::Counter* ctr_bytes_intra_ = nullptr;
   metrics::Counter* ctr_msgs_inter_ = nullptr;

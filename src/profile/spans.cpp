@@ -3,20 +3,36 @@
 #include <charconv>
 #include <fstream>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "metrics/trace.hpp"
+#include "metrics/writer.hpp"
 
 namespace dt::profile {
 
 namespace {
-// Shortest round-trip decimal form (std::to_chars without precision): the
-// same bytes on every host, and parsing it back returns the same double.
-std::string num(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  common::check(res.ec == std::errc(), "SpanLog: number formatting failed");
-  return std::string(buf, res.ptr);
+// Writes `parts` in order: strings as they are, integers in decimal, doubles
+// in shortest round-trip form (std::to_chars without precision) — the same
+// bytes on every host, and parsing one back returns the same double.
+template <typename... Parts>
+void emit(metrics::ChunkWriter& w, const Parts&... parts) {
+  auto one = [&w](const auto& part) {
+    using T = std::decay_t<decltype(part)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), part);
+      common::check(res.ec == std::errc(), "SpanLog: number formatting failed");
+      w.put(std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
+    } else if constexpr (std::is_integral_v<T>) {
+      w.integer(part);
+    } else {
+      w.put(part);
+    }
+  };
+  (one(parts), ...);
 }
 
 // Escapes quotes and backslashes, and every control character as \u00XX.
@@ -98,24 +114,25 @@ std::string SpanLog::endpoint_name(int id) const {
 }
 
 void SpanLog::write_jsonl(std::ostream& os) const {
+  metrics::ChunkWriter w(os);
   for (std::size_t id = 0; id < endpoints_.size(); ++id) {
     const EndpointInfo& ep = endpoints_[id];
-    os << "{\"type\":\"endpoint\",\"id\":" << id << ",\"name\":\""
-       << escape(ep.name) << "\",\"machine\":" << ep.machine
-       << ",\"worker\":" << ep.worker_rank << "}\n";
+    emit(w, R"({"type":"endpoint","id":)", id, R"(,"name":")",
+         escape(ep.name), R"(","machine":)", ep.machine, R"(,"worker":)",
+         ep.worker_rank, "}\n");
   }
   for (const Span& s : spans_) {
-    os << "{\"type\":\"span\",\"worker\":" << s.worker
-       << ",\"round\":" << s.round << ",\"phase\":\""
-       << span_phase_name(s.phase) << "\",\"start\":" << num(s.start)
-       << ",\"end\":" << num(s.end) << "}\n";
+    emit(w, R"({"type":"span","worker":)", s.worker, R"(,"round":)", s.round,
+         R"(,"phase":")", span_phase_name(s.phase), R"(","start":)", s.start,
+         R"(,"end":)", s.end, "}\n");
   }
   for (const MessageEdge& e : edges_) {
-    os << "{\"type\":\"edge\",\"src\":" << e.src << ",\"dst\":" << e.dst
-       << ",\"bytes\":" << e.bytes << ",\"sent\":" << num(e.sent)
-       << ",\"arrival\":" << num(e.arrival) << ",\"scope\":\""
-       << (e.inter_machine ? "inter" : "intra") << "\"}\n";
+    emit(w, R"({"type":"edge","src":)", e.src, R"(,"dst":)", e.dst,
+         R"(,"bytes":)", e.bytes, R"(,"sent":)", e.sent, R"(,"arrival":)",
+         e.arrival, R"(,"scope":")", e.inter_machine ? "inter" : "intra",
+         "\"}\n");
   }
+  w.flush();
   common::check(os.good(), "SpanLog: stream write failed");
 }
 
@@ -130,33 +147,46 @@ void SpanLog::save_jsonl(const std::string& path) const {
 void SpanLog::write_chrome_json(std::ostream& os) const {
   metrics::TraceLog trace;
   trace.set_process_name("dtrain profile");
+  // Tracks are interned once per worker and endpoint, flow names once per
+  // byte size, and events are recorded by id.
+  using Ids = std::unordered_map<std::int64_t, metrics::TraceLog::Id>;
+  auto cached = [&trace](Ids& ids, std::int64_t key, auto&& make_name) {
+    auto [it, added] = ids.try_emplace(key);
+    if (added) it->second = trace.intern(make_name());
+    return it->second;
+  };
+  Ids worker_tracks;  // by 2 * rank, + 1 for the windows track
   for (const Span& s : spans_) {
-    std::string track = "worker" + std::to_string(s.worker);
     // Windows overlap the phase slices they were split into; give them
     // their own track so Perfetto does not nest them confusingly.
-    if (s.phase == kWindowPhase) track += " windows";
-    trace.record(track, span_phase_name(s.phase), s.start, s.end);
+    const bool window = s.phase == kWindowPhase;
+    const std::int64_t key = 2 * std::int64_t{s.worker} + (window ? 1 : 0);
+    const auto track = cached(worker_tracks, key, [&] {
+      return "worker" + std::to_string(s.worker) + (window ? " windows" : "");
+    });
+    trace.record(track, trace.intern(span_phase_name(s.phase)), s.start,
+                 s.end);
   }
+  // Edge tracks are the registered endpoint names, matching the worker
+  // phase tracks when the endpoint is a worker mailbox.
+  Ids endpoint_tracks;
+  auto track_of = [&](int ep) {
+    return cached(endpoint_tracks, ep, [&] {
+      const auto i = static_cast<std::size_t>(ep);
+      return ep >= 0 && i < endpoints_.size() && endpoints_[i].worker_rank >= 0
+                 ? "worker" + std::to_string(endpoints_[i].worker_rank)
+                 : endpoint_name(ep);
+    });
+  };
+  Ids flow_names;  // by byte size
   std::uint64_t id = 0;
   for (const MessageEdge& e : edges_) {
-    // Edge tracks are the registered endpoint names, matching the worker
-    // phase tracks when the endpoint is a worker mailbox.
-    const EndpointInfo* src = nullptr;
-    const EndpointInfo* dst = nullptr;
-    if (e.src >= 0 && static_cast<std::size_t>(e.src) < endpoints_.size()) {
-      src = &endpoints_[static_cast<std::size_t>(e.src)];
-    }
-    if (e.dst >= 0 && static_cast<std::size_t>(e.dst) < endpoints_.size()) {
-      dst = &endpoints_[static_cast<std::size_t>(e.dst)];
-    }
-    auto track_of = [this](const EndpointInfo* ep, int id_) {
-      if (ep != nullptr && ep->worker_rank >= 0) {
-        return "worker" + std::to_string(ep->worker_rank);
-      }
-      return endpoint_name(id_);
-    };
-    trace.flow(track_of(src, e.src), track_of(dst, e.dst),
-               std::to_string(e.bytes) + "B", e.sent, e.arrival, id++);
+    const auto src = track_of(e.src);
+    const auto dst = track_of(e.dst);
+    const auto name =
+        cached(flow_names, static_cast<std::int64_t>(e.bytes),
+               [&] { return std::to_string(e.bytes) + "B"; });
+    trace.flow(src, dst, name, e.sent, e.arrival, id++);
   }
   trace.write_chrome_json(os);
 }

@@ -1,13 +1,16 @@
 // Tests for metrics accounting and the Chrome-tracing export.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/trainer.hpp"
 #include "metrics/metrics.hpp"
@@ -227,6 +230,131 @@ TEST(ChunkWriter, StreamsAcrossChunkBoundaries) {
   EXPECT_EQ(os.str(), want);
 }
 
+/// Values a number memo could confuse: signed zeros, NaNs that differ only
+/// in sign or payload (the all-ones pattern among them), infinities,
+/// subnormals, and neighbours of the %g switch points 1e-4 and 1e6.
+std::vector<double> memo_adversaries() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           inf,
+                           -inf,
+                           denorm,
+                           -denorm,
+                           std::nextafter(min_normal, 0.0),
+                           min_normal,
+                           1.0,
+                           0.1 + 0.2,
+                           999999.5,
+                           9.999995e-5};
+  for (const double edge : {1e-4, 1e6, -1e-4, -1e6}) {
+    v.push_back(std::nextafter(edge, 0.0));
+    v.push_back(edge);
+    v.push_back(std::nextafter(edge, 2.0 * edge));
+  }
+  for (const std::uint64_t bits :
+       {0x7ff8000000000000ull, 0xfff8000000000000ull, 0x7ff0000000000001ull,
+        0x7ff4000000000000ull, 0x7fffffffffffffffull, 0xffffffffffffffffull,
+        0x0000000000000000ull, 0x8000000000000000ull}) {
+    v.push_back(std::bit_cast<double>(bits));
+  }
+  return v;
+}
+
+TEST(NumberMemo, FreshMemoPrintsItsFirstValue) {
+  // A memo that marks "empty" with a sentinel bit pattern instead of an
+  // explicit state prints nothing when the first value has that pattern.
+  for (const double v : memo_adversaries()) {
+    std::ostringstream os;
+    {
+      ChunkWriter w(os);
+      ChunkWriter::NumberMemo memo;
+      w.number(v, memo);
+      w.put(',');
+      w.number(v, memo);
+    }
+    EXPECT_EQ(os.str(), format_number(v) + "," + format_number(v))
+        << std::hex << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(NumberMemo, RunsAndAlternationsMatchFormatNumber) {
+  // Every ordered pair through one memo, as a run and as an alternation:
+  // a memo keyed by == would print 0.0's text for -0.0.
+  const std::vector<double> values = memo_adversaries();
+  std::ostringstream os;
+  std::string want;
+  {
+    ChunkWriter w(os);
+    for (const double a : values) {
+      for (const double b : values) {
+        ChunkWriter::NumberMemo memo;
+        for (const double v : {a, a, a, b, b, a, b, a, b, b}) {
+          w.number(v, memo);
+          w.put(',');
+          want += format_number(v) + ",";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(os.str(), want);
+}
+
+TEST(NumberMemo, RandomSitesAcrossChunksMatchFormatNumber) {
+  // Several memos (call sites) drawing from a small pool, so most calls
+  // hit, mixed with fresh random doubles, over several chunks: hits and
+  // misses land on every chunk boundary offset.
+  std::mt19937_64 rng(5);
+  std::vector<double> pool = memo_adversaries();
+  std::uniform_real_distribution<double> mant(-10.0, 10.0);
+  std::uniform_int_distribution<int> decade(-310, 300);
+  for (int i = 0; i < 16; ++i) {
+    pool.push_back(mant(rng) * std::pow(10.0, decade(rng)));
+  }
+  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+  std::uniform_int_distribution<int> run(1, 12);
+  std::ostringstream os;
+  std::string want;
+  {
+    ChunkWriter w(os);
+    ChunkWriter::NumberMemo memos[4];
+    std::size_t site = 0;
+    while (want.size() < 3 * ChunkWriter::kChunkBytes + 1000) {
+      const double v = rng() % 8 == 0
+                           ? mant(rng) * std::pow(10.0, decade(rng))
+                           : pool[pick(rng)];
+      for (int k = run(rng); k > 0; --k) {
+        site = (site + rng() % 2) % 4;
+        w.number(v, memos[site]);
+        w.put(k % 3 == 0 ? "," : ";");
+        want += format_number(v) + (k % 3 == 0 ? "," : ";");
+      }
+    }
+  }
+  EXPECT_EQ(os.str(), want);
+}
+
+TEST(NumberMemo, HitsStraddleTheChunkBoundary) {
+  // A repeated value plus a separator is 15 bytes, an odd period, so the
+  // write position passes every offset near the end of the chunk.
+  std::ostringstream os;
+  std::string want;
+  {
+    ChunkWriter w(os);
+    ChunkWriter::NumberMemo memo;
+    const double v = -1.23456789e-300;
+    const std::string text = format_number(v);
+    while (want.size() < 2 * ChunkWriter::kChunkBytes) {
+      w.number(v, memo);
+      w.put("||");
+      want += text + "||";
+    }
+  }
+  EXPECT_EQ(os.str(), want);
+}
+
 /// The Chrome-trace writer as it was first written: one `operator<<` per
 /// field into the stream, tids from a std::map, strings escaped per event.
 std::string reference_chrome_json(const TraceLog& trace) {
@@ -309,6 +437,32 @@ TEST(TraceLog, LargeTraceMatchesOneShotReference) {
   const std::string got = os.str();
   EXPECT_GT(got.size(), 3 * ChunkWriter::kChunkBytes);
   EXPECT_EQ(got, reference_chrome_json(trace));
+}
+
+TEST(TraceLog, RepeatingValuesMatchOneShotReference) {
+  // What the export memos: sampler ticks that stamp every series with one
+  // time, series that hold still or flip between 0 and -0, and flows that
+  // share a send time.
+  TraceLog trace;
+  const char* series[] = {"a", "b", "c", "d"};
+  for (int tick = 0; tick < 2000; ++tick) {
+    const double t = tick * 0.005;
+    for (int k = 0; k < 4; ++k) {
+      const double value = k == 0   ? tick / 10
+                           : k == 1 ? (tick % 2 == 0 ? 0.0 : -0.0)
+                           : k == 2 ? 42.0
+                                    : tick * 1e-3;
+      trace.counter("metrics", series[k], t, value);
+    }
+    trace.counter("memory", "worker0", t, tick % 7 == 0 ? 1.5e6 : 1.5e6 + 1);
+    for (int k = 0; k < 3; ++k) {
+      trace.flow("ps0", series[k], "ps0->w", t, t + 1e-4 * (k + 1),
+                 static_cast<std::uint64_t>(tick * 3 + k));
+    }
+  }
+  std::ostringstream os;
+  trace.write_chrome_json(os);
+  EXPECT_EQ(os.str(), reference_chrome_json(trace));
 }
 
 TEST(RunResult, ThroughputAndPhaseMeans) {

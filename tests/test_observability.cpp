@@ -1,16 +1,24 @@
 // End-to-end tests of the observability layer: protocol probes (observed
 // staleness, PS load, network accounting) and the metric/trace/time-series
-// output files, driven through real training runs.
+// output files, driven through real training runs, plus the network's flow
+// recording driven directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "core/session.hpp"
 #include "core/trainer.hpp"
+#include "faults/faults.hpp"
 #include "metrics/metrics.hpp"
+#include "metrics/registry.hpp"
+#include "metrics/trace.hpp"
+#include "net/network.hpp"
+#include "runtime/sim.hpp"
 
 namespace dt {
 namespace {
@@ -174,6 +182,128 @@ TEST(ObservabilityOutputs, SyncProbesCoverEveryAlgorithm) {
     ASSERT_NE(h, nullptr) << core::algo_name(algo);
     EXPECT_GT(h->count, 0u) << core::algo_name(algo);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Network flow recording (SimEngine + Network directly)
+// ---------------------------------------------------------------------------
+
+/// One traffic operation of run_flows, by its endpoints' names.
+struct FlowOp {
+  std::string src;
+  std::string dst;
+  bool transfer = false;  // a recovery pull (Network::transfer)
+};
+
+/// Sends messages among two named and one unnamed endpoint on a lossy,
+/// duplicating two-machine network, with a recovery transfer every ninth
+/// operation, and records the flows on `first` — on `second` from operation
+/// `switch_at` on. Every operation starts at its own virtual time; returns
+/// them keyed by that time.
+std::map<double, FlowOp> run_flows(metrics::TraceLog& first,
+                                   metrics::TraceLog* second, int switch_at,
+                                   metrics::MetricRegistry& registry) {
+  net::ClusterSpec spec;
+  spec.num_machines = 2;
+  spec.send_overhead = 0.0;
+  faults::FaultConfig fc;
+  fc.msg.loss_prob = 0.2;
+  fc.msg.dup_prob = 0.2;
+  const faults::FaultPlan plan(fc, 3, 2);
+  runtime::SimEngine engine;
+  net::Network netw(engine, spec);
+  netw.set_faults(&plan);
+  netw.set_metrics(&registry);
+  netw.set_trace(&first);
+  const int eps[] = {netw.add_endpoint(0, "ps0"),
+                     netw.add_endpoint(1, "worker0"), netw.add_endpoint(1)};
+  std::map<double, FlowOp> ops;
+  engine.spawn("driver", [&](runtime::Process& self) {
+    for (int i = 0; i < 90; ++i) {
+      if (i == switch_at) netw.set_trace(second);
+      self.advance(1e-3);
+      const int src = eps[i % 3];
+      const int dst = eps[(i + 1 + i / 3 % 2) % 3];
+      const bool transfer = i % 9 == 8;
+      ops[self.now()] = {netw.endpoint_name(src), netw.endpoint_name(dst),
+                         transfer};
+      if (transfer) {
+        netw.transfer(self, src, dst, 4096);
+      } else {
+        net::Packet p;
+        p.wire_bytes = 1000;
+        netw.send(self, src, dst, std::move(p));
+      }
+    }
+  });
+  engine.run();
+  return ops;
+}
+
+TEST(FlowTrace, CachedIdsMatchStringRecording) {
+  metrics::TraceLog got;
+  metrics::MetricRegistry registry;
+  const std::map<double, FlowOp> ops = run_flows(got, nullptr, -1, registry);
+
+  // The same flows through the string API, named from the driver's own
+  // record of each operation, in a log whose ids are numbered differently.
+  metrics::TraceLog want;
+  want.intern("unrelated");
+  int lost = 0;
+  int recovered = 0;
+  std::map<double, int> flows_per_op;
+  for (const metrics::TraceLog::FlowEvent& e : got.flow_events()) {
+    const FlowOp& op = ops.at(e.sent);
+    const bool was_lost = got.str(e.name).starts_with("lost ");
+    const std::string prefix =
+        op.transfer ? "recover " : (was_lost ? "lost " : "");
+    want.flow(op.src, op.dst, prefix + op.src + "->" + op.dst, e.sent,
+              e.arrival, e.id);
+    lost += was_lost ? 1 : 0;
+    recovered += op.transfer ? 1 : 0;
+    ++flows_per_op[e.sent];
+  }
+  std::ostringstream got_json;
+  std::ostringstream want_json;
+  got.write_chrome_json(got_json);
+  want.write_chrome_json(want_json);
+  EXPECT_EQ(got_json.str(), want_json.str());
+
+  // All three flow kinds and duplicates occurred, and every message on the
+  // wire has exactly one flow.
+  const auto dups =
+      std::count_if(flows_per_op.begin(), flows_per_op.end(),
+                    [](const auto& kv) { return kv.second == 2; });
+  EXPECT_GT(lost, 0);
+  EXPECT_EQ(recovered, 10);
+  EXPECT_GT(dups, 0);
+  EXPECT_EQ(static_cast<double>(lost),
+            registry.counter("net.lost_total").value());
+  EXPECT_EQ(static_cast<double>(got.flow_events().size()),
+            registry.snapshot().total("net.messages_total"));
+}
+
+TEST(FlowTrace, SetTraceDropsTheCachedIdsOfThePreviousLog) {
+  // The second log already holds other strings, so any id cached for the
+  // first log names something else (or nothing) in it.
+  metrics::TraceLog first;
+  metrics::TraceLog second;
+  for (int i = 0; i < 16; ++i) second.intern("filler" + std::to_string(i));
+  metrics::MetricRegistry registry;
+  const std::map<double, FlowOp> ops = run_flows(first, &second, 45, registry);
+  ASSERT_FALSE(first.flow_events().empty());
+  ASSERT_FALSE(second.flow_events().empty());
+  for (const metrics::TraceLog* log : {&first, &second}) {
+    for (const metrics::TraceLog::FlowEvent& e : log->flow_events()) {
+      const FlowOp& op = ops.at(e.sent);
+      EXPECT_EQ(log->str(e.src_track), op.src);
+      EXPECT_EQ(log->str(e.dst_track), op.dst);
+      EXPECT_TRUE(log->str(e.name).ends_with(op.src + "->" + op.dst))
+          << log->str(e.name);
+    }
+  }
+  EXPECT_LT(first.flow_events().back().sent,
+            second.flow_events().front().sent);
 }
 
 }  // namespace
