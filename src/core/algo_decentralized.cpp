@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "compress/dgc.hpp"
+#include "core/algo_common.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "metrics/metrics.hpp"
@@ -38,91 +39,6 @@ Packet param_packet(Session& s, int rank, int tag) {
   if (s.wl.functional()) pkt.emplace_payload().tensors = s.wl.params(rank);
   return pkt;
 }
-
-/// Functional-mode convergence-curve recorder (worker 0 only); mirrors the
-/// one in algo_centralized.cpp.
-struct CurveRecorder {
-  Session& s;
-  int rank;
-  double next_eval;
-
-  CurveRecorder(Session& session, int r)
-      : s(session), rank(r), next_eval(s.cfg.eval_interval_epochs) {}
-
-  void maybe_record(runtime::Process& self, std::int64_t iter_done,
-                    double loss) {
-    if (rank != 0 || !s.wl.functional()) return;
-    const double epoch = s.epoch_of(iter_done);
-    if (epoch + 1e-9 < next_eval) return;
-    const double err = 1.0 - s.wl.evaluate(0);
-    s.record_curve(epoch, self.now(), err, loss);
-    while (next_eval <= epoch + 1e-9) next_eval += s.cfg.eval_interval_epochs;
-  }
-};
-
-/// Per-worker synchronization probes; mirrors algo_centralized.cpp. For
-/// AR-SGD/D-PSGD the wait share is the barrier convoy (slowest neighbor),
-/// for AD-PSGD the passive peer's responsiveness.
-struct SyncProbes {
-  metrics::Histogram* window = nullptr;  // sync.window_s
-  metrics::Histogram* wait = nullptr;    // sync.wait_s
-
-  static SyncProbes make(Session& s) {
-    const metrics::Labels labels{{"algo", algo_name(s.cfg.algo)}};
-    return SyncProbes{
-        &s.registry.histogram("sync.window_s", labels,
-                              metrics::Histogram::time_bounds()),
-        &s.registry.histogram("sync.wait_s", labels,
-                              metrics::Histogram::time_bounds())};
-  }
-};
-
-void account_window(runtime::Process& self, metrics::WorkerMetrics& wm,
-                    double window_start, double comm_estimate,
-                    const SyncProbes& probes) {
-  const double elapsed = self.now() - window_start;
-  const double comm = std::min(elapsed, comm_estimate);
-  wm.accumulate(Phase::comm, comm);
-  wm.accumulate(Phase::global_agg, elapsed - comm);
-  probes.window->observe(elapsed);
-  probes.wait->observe(elapsed - comm);
-  wm.note_window(window_start, self.now());
-}
-
-// ---- crash recovery (see docs/faults.md); mirrors algo_centralized.cpp ----
-
-struct CrashCheckpoint {
-  double period = 0.0;  // 0 => disabled
-  double next = 0.0;
-  bool have = false;
-  std::string blob;
-
-  static CrashCheckpoint make(const Session& s) {
-    CrashCheckpoint ck;
-    if (s.fault_plan.has_crashes() &&
-        s.fault_plan.recovery() == faults::RecoveryMode::checkpoint &&
-        s.fault_plan.config().checkpoint_period > 0.0) {
-      ck.period = s.fault_plan.config().checkpoint_period;
-      ck.next = ck.period;
-    }
-    return ck;
-  }
-
-  void maybe_snapshot(Session& s, runtime::Process& self, int rank) {
-    if (period <= 0.0 || self.now() < next) return;
-    if (s.wl.functional()) blob = s.wl.save_worker_checkpoint(rank);
-    have = true;
-    self.advance(s.wl.agg_time(s.wl.total_wire_bytes()));
-    while (next <= self.now()) next += period;
-  }
-
-  bool restore(Session& s, runtime::Process& self, int rank) {
-    if (!have) return false;
-    if (s.wl.functional()) s.wl.load_worker_checkpoint(rank, blob);
-    self.advance(s.wl.agg_time(s.wl.total_wire_bytes()));
-    return true;
-  }
-};
 
 /// Post-reboot recovery for peer-to-peer algorithms: restore the last local
 /// checkpoint, or copy the replica of the nearest alive peer. The copy is a
@@ -592,7 +508,6 @@ void launch_arsgd_elastic(Session& s) {
 
 void launch_gosgd_impl(Session& s) {
   const int n = s.cfg.num_workers;
-  const float inv_n = 1.0f / static_cast<float>(n);
   auto weights = std::make_shared<std::vector<double>>(
       static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
 
@@ -635,7 +550,7 @@ void launch_gosgd_impl(Session& s) {
   for (int rank = 0; rank < n; ++rank) {
     s.engine.spawn(
         "worker" + std::to_string(rank),
-        [&s, rank, n, inv_n, weights](runtime::Process& self) {
+        [&s, rank, n, weights](runtime::Process& self) {
           auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
           common::Rng rng = s.worker_rng(rank);
           CurveRecorder curve(s, rank);
@@ -714,7 +629,6 @@ void launch_gosgd_impl(Session& s) {
 
 void launch_adpsgd_impl(Session& s) {
   const int n = s.cfg.num_workers;
-  const float inv_n = 1.0f / static_cast<float>(n);
 
   std::vector<int> passives;
   for (int r = 1; r < n; r += 2) passives.push_back(r);
@@ -756,7 +670,7 @@ void launch_adpsgd_impl(Session& s) {
     const bool active = rank % 2 == 0 && !passives.empty();
     s.engine.spawn(
         "worker" + std::to_string(rank),
-        [&s, rank, active, passives, inv_n](runtime::Process& self) {
+        [&s, rank, active, passives](runtime::Process& self) {
           const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
           if (active) s.network->bind(wep, self);
           auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/algo_common.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "memory/ledger.hpp"
@@ -43,56 +44,6 @@ namespace {
 using metrics::Phase;
 using metrics::PhaseTimer;
 using net::Packet;
-
-/// Functional-mode convergence-curve recorder (worker 0 only); mirrors
-/// algo_centralized.cpp.
-struct CurveRecorder {
-  Session& s;
-  int rank;
-  double next_eval;
-
-  CurveRecorder(Session& session, int r)
-      : s(session), rank(r), next_eval(s.cfg.eval_interval_epochs) {}
-
-  void maybe_record(runtime::Process& self, std::int64_t iter_done,
-                    double loss) {
-    if (rank != 0 || !s.wl.functional()) return;
-    const double epoch = s.epoch_of(iter_done);
-    if (epoch + 1e-9 < next_eval) return;
-    const double err = 1.0 - s.wl.evaluate(0);
-    s.record_curve(epoch, self.now(), err, loss);
-    while (next_eval <= epoch + 1e-9) next_eval += s.cfg.eval_interval_epochs;
-  }
-};
-
-/// Per-worker synchronization probes; mirrors algo_centralized.cpp. The
-/// wait share of an FSDP window is the convoy on the slowest contributor
-/// (reduce-scatter) or owner (gathers).
-struct SyncProbes {
-  metrics::Histogram* window = nullptr;  // sync.window_s
-  metrics::Histogram* wait = nullptr;    // sync.wait_s
-
-  static SyncProbes make(Session& s) {
-    const metrics::Labels labels{{"algo", algo_name(s.cfg.algo)}};
-    return SyncProbes{
-        &s.registry.histogram("sync.window_s", labels,
-                              metrics::Histogram::time_bounds()),
-        &s.registry.histogram("sync.wait_s", labels,
-                              metrics::Histogram::time_bounds())};
-  }
-};
-
-void account_window(runtime::Process& self, metrics::WorkerMetrics& wm,
-                    double window_start, double comm_estimate,
-                    const SyncProbes& probes) {
-  const double elapsed = self.now() - window_start;
-  const double comm = std::min(elapsed, comm_estimate);
-  wm.accumulate(Phase::comm, comm);
-  wm.accumulate(Phase::global_agg, elapsed - comm);
-  probes.window->observe(elapsed);
-  probes.wait->observe(elapsed - comm);
-  wm.note_window(window_start, self.now());
-}
 
 /// Stage-3 gather tag: base + 4*slot + 2*phase + round parity (see
 /// core/protocol.hpp, kTagFsdpGather).

@@ -79,9 +79,9 @@ void Session::validate_reliability() const {
   common::check(is_centralized(cfg.algo),
                 "Session: reliability (message faults / replicate_ps) is "
                 "supported for the centralized algorithms only");
-  common::check(!cfg.opt.dgc && cfg.opt.qsgd_bits == 0,
-                "Session: reliability modes are incompatible with gradient "
-                "compression (DGC/QSGD)");
+  common::check(!(cfg.opt.dgc && cfg.algo == Algo::bsp),
+                "Session: reliable BSP is incompatible with DGC (its staged "
+                "rank-order round sum is dense)");
   common::check(!cfg.opt.wait_free_bp,
                 "Session: reliability modes are incompatible with wait-free "
                 "BP (acked sends would serialize the backward pass)");

@@ -128,7 +128,10 @@ TEST(AllocationBudget, RingAllReduceSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocationBudget, ParameterServerSteadyStateIsAllocationFree) {
-  EXPECT_LE(allocations_per_extra_message("bsp"), kMaxAllocsPerMessage);
+  for (const char* algorithm : {"bsp", "asp", "ssp", "dssp", "easgd"}) {
+    EXPECT_LE(allocations_per_extra_message(algorithm), kMaxAllocsPerMessage)
+        << algorithm;
+  }
 }
 
 // Tracing and time-series sampling record one flow per message, a slice

@@ -263,6 +263,8 @@ struct RunArtifacts {
   double final_accuracy = 0.0;
   double virtual_duration = 0.0;
   double failovers = 0.0;
+  std::uint64_t staleness_updates = 0;  // pushes a shard applied first-hand
+  std::int64_t pushes = 0;              // workers x iterations x slots
 };
 
 RunArtifacts reliable_run(TrainConfig cfg, int threads,
@@ -283,6 +285,11 @@ RunArtifacts reliable_run(TrainConfig cfg, int threads,
   out.final_accuracy = result.final_accuracy;
   out.virtual_duration = result.virtual_duration;
   out.failovers = result.metrics.total("ps.failovers_total");
+  for (const auto* h : result.metrics.all("staleness.updates")) {
+    out.staleness_updates += h->count;
+  }
+  out.pushes = result.total_iterations *
+               static_cast<std::int64_t>(wl.num_slots());
   std::remove(jsonl.c_str());
   std::remove(csv.c_str());
   return out;
@@ -353,6 +360,39 @@ TEST(PsFailover, SspAndEasgdSurviveCrashDeterministically) {
   }
 }
 
+TEST(PsFailover, CompressedPushesOverLossyReplicatedPsApplyExactlyOnce) {
+  // DGC's sparse pushes (ASP, SSP, DSSP) and QSGD's quantized ones (BSP)
+  // ride the reliable link like dense ones: lost copies are retransmitted,
+  // the primary mirrors each apply to its backup, and the shard's round-id
+  // dedup applies every push exactly once — so staleness.updates, observed
+  // once per first-hand apply, counts workers x iterations x slots.
+  struct Case {
+    Algo algo;
+    bool dgc;
+    int qsgd_bits;
+  };
+  for (const Case c : {Case{Algo::asp, true, 0}, Case{Algo::ssp, true, 0},
+                       Case{Algo::dssp, true, 0}, Case{Algo::bsp, false, 4}}) {
+    TrainConfig cfg = reliable_config(c.algo);
+    cfg.opt.dgc = c.dgc;
+    cfg.opt.qsgd_bits = c.qsgd_bits;
+    cfg.faults.msg.loss_prob = 0.05;
+    const std::string tag = std::string(algo_name(c.algo)) + "_compressed";
+    const RunArtifacts seq = reliable_run(cfg, 1, tag + "_t1");
+    const RunArtifacts par = reliable_run(cfg, 8, tag + "_t8");
+    EXPECT_EQ(seq.metrics_jsonl, par.metrics_jsonl) << tag;
+    EXPECT_EQ(seq.timeseries_csv, par.timeseries_csv) << tag;
+    EXPECT_EQ(seq.params, par.params) << tag;
+    EXPECT_EQ(seq.virtual_duration, par.virtual_duration) << tag;
+    EXPECT_GT(seq.pushes, 0) << tag;
+    EXPECT_EQ(seq.staleness_updates, static_cast<std::uint64_t>(seq.pushes))
+        << tag;
+    EXPECT_NE(seq.metrics_jsonl.find("net.retransmits_total"),
+              std::string::npos)
+        << tag;
+  }
+}
+
 TEST(PsFailover, ValidationRejectsUnsupportedCombinations) {
   Workload wl = small_workload();
   // ps_crashes without replication: nothing to fail over to.
@@ -365,6 +405,18 @@ TEST(PsFailover, ValidationRejectsUnsupportedCombinations) {
   dec.reliability.replicate_ps = false;
   dec.faults.msg.loss_prob = 0.1;
   EXPECT_THROW(run_training(dec, wl), common::Error);
+  // DGC on reliable BSP: the staged rank-order round sum is dense.
+  TrainConfig bsp_dgc = reliable_config(Algo::bsp);
+  bsp_dgc.opt.dgc = true;
+  EXPECT_THROW(run_training(bsp_dgc, wl), common::Error);
+  // Wait-free BP: acked sends would serialize the backward pass.
+  TrainConfig wfbp = reliable_config(Algo::asp);
+  wfbp.opt.wait_free_bp = true;
+  EXPECT_THROW(run_training(wfbp, wl), common::Error);
+  // Worker crashes: per-peer sequence state does not survive a reboot.
+  TrainConfig crash = reliable_config(Algo::asp);
+  crash.faults.crashes.push_back({1, 0.5, 0.2});
+  EXPECT_THROW(run_training(crash, wl), common::Error);
 }
 
 // ---------------------------------------------------------------------------
