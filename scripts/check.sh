@@ -12,7 +12,9 @@
 #   scripts/check.sh faults          # fault-injection smoke: the ctest
 #                                    # labels `faults` and `reliable`
 #                                    # (tests/test_faults,
-#                                    # tests/test_reliable) plus a dtrain
+#                                    # tests/test_reliable), test_golden
+#                                    # (incl. the lossy-failover fixtures
+#                                    # of every PS protocol) and a dtrain
 #                                    # checkpoint-recovery run, under
 #                                    # AddressSanitizer, then
 #                                    # ThreadSanitizer
@@ -60,13 +62,21 @@ cd "$(dirname "$0")/.."
 SANITIZER="${1:-}"
 
 if [[ "$SANITIZER" == "faults" ]]; then
-  # Fault-injection smoke: build only the labeled fault suite under both
-  # sanitizers (shares the build-address/ and build-thread/ trees).
+  # Fault-injection smoke: the labeled fault suites plus test_golden, whose
+  # lossy replicated-PS fixtures run every PS protocol's reliable link
+  # through a primary failover, under both sanitizers. Own trees
+  # (build-faults-<sanitizer>/): the flags go in CMAKE_CXX_FLAGS, not
+  # DT_SANITIZE, which would also drop the tensor kernels' native -O3/FMA
+  # build that test_golden's parameter hashes were captured with.
   for SAN in address thread; do
-    DIR="build-$SAN"
-    cmake -B "$DIR" -S . "-DDT_SANITIZE=$SAN"
-    cmake --build "$DIR" -j "$(nproc)" --target test_faults test_reliable dtrain
+    DIR="build-faults-$SAN"
+    cmake -B "$DIR" -S . -DDT_SANITIZE= \
+      "-DCMAKE_CXX_FLAGS=-fsanitize=$SAN -fno-omit-frame-pointer" \
+      "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=$SAN"
+    cmake --build "$DIR" -j "$(nproc)" \
+      --target test_faults test_reliable test_golden dtrain
     ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L 'faults|reliable'
+    "$DIR/tests/test_golden"
     # End-to-end checkpoint recovery (RecoveryMode::checkpoint): a worker
     # crash restored from a periodic CRC-checked snapshot, sanitized.
     "$DIR/examples/dtrain" examples/configs/fault_study_checkpoint.ini

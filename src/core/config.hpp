@@ -155,10 +155,10 @@ struct TrainConfig {
     /// shard's primary are mirrored (in application order, over the
     /// reliable channel) to a backup endpoint that workers fail over to
     /// when the primary crashes. Required for faults.ps_crashes.
-    /// Centralized algorithms only; incompatible with DGC/QSGD, worker
-    /// crashes, and sync_policy=drop (validated by the Session).
+    /// Centralized algorithms only; incompatible with wait-free BP, worker
+    /// crashes and DGC on BSP (validated by the Session).
     bool replicate_ps = false;
-    /// ASP/SSP graceful degradation: consecutive iterations a worker may
+    /// ASP graceful degradation: consecutive iterations a worker may
     /// apply its gradient locally when a shard exchange times out during
     /// failover, before it must block on a successful exchange.
     int local_step_budget = 0;
