@@ -323,6 +323,53 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.stem) + "_" + info.param.variant;
     });
 
+TEST(Golden, TracedBspMemoryGaugesObserverOutputsAreByteIdentical) {
+  // Memory gauges on: the ledger's per-rank "memory" counters interleave
+  // with the sampler's rows in the trace's counter block.
+  TrainConfig cfg = traced_fixture_config(Algo::bsp);
+  cfg.memory.enabled = true;
+  expect_observers_match_golden(cfg, "bsp_memory_traced",
+                                /*digest_only=*/true);
+}
+
+TEST(Golden, TracedFsdpStage3ObserverOutputsAreByteIdentical) {
+  // ZeRO stage 3: every rank's gather buffers charge and release the
+  // ledger, so the memory counters move between sampler ticks.
+  TrainConfig cfg = traced_fixture_config(Algo::fsdp);
+  cfg.opt.zero_stage = 3;
+  expect_observers_match_golden(cfg, "fsdp_z3_traced", /*digest_only=*/true);
+}
+
+/// The RingRepair.*DropCrash* plan: rank `rank` crashes at 0.3 of the
+/// fault-free duration for 0.4 of it, and the survivors drop it from the
+/// ring (detector scaled to the run) and readmit it after its downtime.
+TrainConfig ring_drop_crash_config(Algo algo, int rank) {
+  Workload base_wl = fixture_workload();
+  const double d =
+      run_training(traced_fixture_config(algo), base_wl).virtual_duration;
+  TrainConfig cfg = traced_fixture_config(algo);
+  faults::Crash c;
+  c.rank = rank;
+  c.at = 0.3 * d;
+  c.downtime = 0.4 * d;
+  cfg.faults.crashes.push_back(c);
+  cfg.faults.sync_policy = faults::SyncPolicy::drop;
+  cfg.membership.period_s = 0.01 * d;
+  cfg.membership.timeout_s = 0.05 * d;
+  cfg.membership.confirm_s = 0.02 * d;
+  return cfg;
+}
+
+TEST(Golden, TracedArsgdRingRepairObserverOutputsAreByteIdentical) {
+  expect_observers_match_golden(ring_drop_crash_config(Algo::arsgd, 2),
+                                "arsgd_drop_traced", /*digest_only=*/true);
+}
+
+TEST(Golden, TracedDpsgdRingRepairObserverOutputsAreByteIdentical) {
+  expect_observers_match_golden(ring_drop_crash_config(Algo::dpsgd, 1),
+                                "dpsgd_drop_traced", /*digest_only=*/true);
+}
+
 TEST(Golden, FsdpStages1And2MatchBspBitwise) {
   // FSDP stages 1/2 claim to be a resharded BSP: same gradient sum, same
   // 1/N scale, same momentum kernel — only *where* the update runs moves.
