@@ -636,7 +636,7 @@ metrics::RunResult Session::run() {
   }
   result.metrics = registry.snapshot();
   if (!cfg.metrics_jsonl.empty()) registry.save_jsonl(cfg.metrics_jsonl);
-  if (trace_) trace_->save(cfg.trace_path);
+  if (trace_) trace_->save(cfg.trace_path, sampler_.get());
   std::sort(result.curve.begin(), result.curve.end(),
             [](const metrics::CurvePoint& a, const metrics::CurvePoint& b) {
               return a.epoch < b.epoch;

@@ -1,5 +1,6 @@
 #include "metrics/sampler.hpp"
 
+#include <bit>
 #include <fstream>
 #include <ostream>
 
@@ -30,18 +31,10 @@ void TimeSeriesSampler::attach(runtime::SimEngine& engine) {
 
 void TimeSeriesSampler::set_trace(TraceLog* trace) {
   trace_ = trace;
-  trace_names_.clear();
-  if (trace_ == nullptr) return;
-  trace_track_ = trace_->intern("metrics");
-  for (const std::string& c : columns_) {
-    trace_names_.push_back(trace_->intern(c));
-  }
+  if (trace_ != nullptr) trace_track_ = trace_->intern("metrics");
 }
 
 void TimeSeriesSampler::sample(double t) {
-  Row row;
-  row.t = t;
-  row.begin = values_.size();
   // Scalars are visited in registry creation order, which only ever
   // extends — so the running index lines up with columns_ and new series
   // append new columns.
@@ -50,24 +43,43 @@ void TimeSeriesSampler::sample(double t) {
                                 MetricKind /*kind*/, double value) {
     if (ci == columns_.size()) {
       columns_.push_back(name + labels_to_string(labels));
-      if (trace_ != nullptr) {
-        trace_names_.push_back(trace_->intern(columns_.back()));
-      }
+      last_bits_.push_back(std::bit_cast<std::uint64_t>(0.0));
     }
-    values_.push_back(value);
-    if (trace_ != nullptr) {
-      trace_->counter(trace_track_, trace_names_[ci], t, value);
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    if (bits != last_bits_[ci]) {
+      last_bits_[ci] = bits;
+      changes_.push_back(Change{static_cast<std::uint32_t>(ci), value});
     }
     ++ci;
   });
-  row.width = ci;
-  rows_.push_back(row);
+  rows_.push_back(Row{t, ci, changes_.size()});
+  if (trace_ != nullptr) trace_->series_row(trace_track_, rows_.size() - 1);
 }
 
 double TimeSeriesSampler::at(std::size_t row, std::size_t col) const {
   const Row& r = rows_.at(row);
   common::check(col < columns_.size(), "TimeSeriesSampler: bad column");
-  return col < r.width ? values_[r.begin + col] : 0.0;
+  if (col >= r.width) return 0.0;
+  // The latest change of `col` up to this row; none means it still reads 0.
+  for (std::size_t i = r.end; i-- > 0;) {
+    if (changes_[i].col == col) return changes_[i].value;
+  }
+  return 0.0;
+}
+
+TimeSeriesSampler::Cursor::Cursor(const TimeSeriesSampler& table)
+    : table_(table), values_(table.columns_.size(), 0.0) {}
+
+const std::vector<double>& TimeSeriesSampler::Cursor::seek(std::size_t row) {
+  common::check(row < table_.rows_.size() && row + 1 >= next_,
+                "TimeSeriesSampler::Cursor: rows must be sought in order");
+  const std::size_t begin = next_ == 0 ? 0 : table_.rows_[next_ - 1].end;
+  const std::size_t end = table_.rows_[row].end;
+  for (std::size_t i = begin; i < end; ++i) {
+    values_[table_.changes_[i].col] = table_.changes_[i].value;
+  }
+  next_ = row + 1;
+  return values_;
 }
 
 void TimeSeriesSampler::write_csv(std::ostream& os) const {
@@ -90,11 +102,13 @@ void TimeSeriesSampler::write_csv(std::ostream& os) const {
   w.put('\n');
   // Most series hold still between ticks: memo each column's last value.
   std::vector<ChunkWriter::NumberMemo> memo(columns_.size());
-  for (const Row& r : rows_) {
-    w.number(r.t);
+  Cursor cursor(*this);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const std::vector<double>& values = cursor.seek(r);
+    w.number(rows_[r].t);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       w.put(',');
-      w.number(c < r.width ? values_[r.begin + c] : 0.0, memo[c]);
+      w.number(values[c], memo[c]);
     }
     w.put('\n');
   }

@@ -8,8 +8,14 @@
 // breakdown looks the way it does (e.g. watching BSP's barrier convoy).
 //
 // Beyond phase slices ("X" events) a TraceLog also records:
-//   - counter events ("C"): sampled registry scalars, drawn by Perfetto as
-//     step plots above the tracks (see metrics/sampler.hpp);
+//   - counter events ("C"): single samples (e.g. the memory ledger's
+//     per-rank bytes) and sampled registry scalars, drawn by Perfetto as
+//     step plots above the tracks. A TimeSeriesSampler tick is recorded as
+//     one series-row marker in the counter stream, not one counter per
+//     cell: the values live once, in the sampler's change-only table
+//     (metrics/sampler.hpp), and the export expands each marker into one
+//     counter per column, interleaved with the single counters in
+//     recording order;
 //   - flow events ("s"/"f"): one arrow per network message from the send on
 //     the source endpoint's track to its delivery on the destination's —
 //     this is what makes staleness and convoy effects *visible* (e.g. every
@@ -27,6 +33,7 @@
 // only when it differs from the previous one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -36,6 +43,8 @@
 #include <vector>
 
 namespace dt::metrics {
+
+class TimeSeriesSampler;
 
 class TraceLog {
  public:
@@ -61,6 +70,13 @@ class TraceLog {
   }
   void counter(Id track, Id name, double t, double value) {
     counter_events_.push_back(CounterEvent{track, name, t, value});
+  }
+
+  /// Records that row `row` of a TimeSeriesSampler's table was sampled:
+  /// one marker in the counter stream, expanded at export into one counter
+  /// per column of that row on `track` (TimeSeriesSampler::set_trace).
+  void series_row(Id track, std::size_t row) {
+    series_rows_.push_back(SeriesRow{counter_events_.size(), row, track});
   }
 
   /// Records a zero-duration instant event (Chrome "i" phase, rendered as
@@ -91,10 +107,11 @@ class TraceLog {
     return process_name_;
   }
 
-  /// Total recorded events (slices + counters + flows + instants).
+  /// Total records (slices + single counters + series-row markers + flows
+  /// + instants).
   [[nodiscard]] std::size_t size() const noexcept {
-    return events_.size() + counter_events_.size() + flow_events_.size() +
-           instant_events_.size();
+    return events_.size() + counter_events_.size() + series_rows_.size() +
+           flow_events_.size() + instant_events_.size();
   }
 
   /// Chrome-tracing JSON array; pid 0, timestamps in µs. Each distinct
@@ -103,12 +120,24 @@ class TraceLog {
   /// track before destination track), then instants — each kind in
   /// recording order. After the optional "process_name" event come the
   /// "thread_name" metadata events sorted by track name, then slices,
-  /// counters, instants and flow pairs. Throws if the stream fails.
-  void write_chrome_json(std::ostream& os) const;
+  /// counters, instants and flow pairs.
+  ///
+  /// `series` is the sampler whose rows were recorded by series_row(): the
+  /// log keeps no pointer to it, so the caller hands over the table that
+  /// must still be alive. Each marker expands, in its place among the
+  /// single counters, into one counter per column of its row (none for a
+  /// row without columns), walking the table with one
+  /// TimeSeriesSampler::Cursor. Throws common::Error when markers were
+  /// recorded but `series` is null or lacks their rows, or if the stream
+  /// fails.
+  void write_chrome_json(std::ostream& os,
+                         const TimeSeriesSampler* series = nullptr) const;
 
   /// Convenience: writes the JSON to `path` (overwrites). Throws with the
-  /// path in the message when the file cannot be opened or written.
-  void save(const std::string& path) const;
+  /// path in the message when the file cannot be opened or written, and,
+  /// before opening it, on a missing `series` as write_chrome_json does.
+  void save(const std::string& path,
+            const TimeSeriesSampler* series = nullptr) const;
 
   // Recorded events; names and tracks are ids for str().
   struct Event {
@@ -122,6 +151,13 @@ class TraceLog {
     Id name;
     double t;
     double value;
+  };
+  /// A sampler tick: row `row` of the series table, placed before
+  /// counter_events()[at] in recording order.
+  struct SeriesRow {
+    std::size_t at;
+    std::size_t row;
+    Id track;
   };
   struct FlowEvent {
     Id src_track;
@@ -143,6 +179,9 @@ class TraceLog {
       const noexcept {
     return counter_events_;
   }
+  [[nodiscard]] const std::vector<SeriesRow>& series_rows() const noexcept {
+    return series_rows_;
+  }
   [[nodiscard]] const std::vector<FlowEvent>& flow_events() const noexcept {
     return flow_events_;
   }
@@ -159,6 +198,7 @@ class TraceLog {
   std::unordered_map<std::string_view, Id> index_;
   std::vector<Event> events_;
   std::vector<CounterEvent> counter_events_;
+  std::vector<SeriesRow> series_rows_;
   std::vector<FlowEvent> flow_events_;
   std::vector<InstantEvent> instant_events_;
 };

@@ -2,12 +2,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
 #include "metrics/trace.hpp"
+#include "metrics/writer.hpp"
 #include "runtime/sim.hpp"
 
 namespace dt::metrics {
@@ -268,10 +278,217 @@ TEST(TimeSeriesSampler, MirrorsSamplesAsTraceCounters) {
   sampler.set_trace(&trace);
   reg.counter("c").inc(2.0);
   sampler.sample(0.5);
-  ASSERT_EQ(trace.counter_events().size(), 1u);
-  EXPECT_EQ(trace.str(trace.counter_events()[0].name), "c");
-  EXPECT_DOUBLE_EQ(trace.counter_events()[0].t, 0.5);
-  EXPECT_DOUBLE_EQ(trace.counter_events()[0].value, 2.0);
+  // One row marker per tick, no per-cell counter record; the values stay
+  // in the sampler's table.
+  EXPECT_TRUE(trace.counter_events().empty());
+  ASSERT_EQ(trace.series_rows().size(), 1u);
+  const std::size_t row = trace.series_rows()[0].row;
+  EXPECT_EQ(trace.str(trace.series_rows()[0].track), "metrics");
+  EXPECT_EQ(sampler.columns().at(0), "c");
+  EXPECT_DOUBLE_EQ(sampler.row_time(row), 0.5);
+  EXPECT_DOUBLE_EQ(sampler.at(row, 0), 2.0);
+  // The export expands the marker into the counter event.
+  std::ostringstream os;
+  trace.write_chrome_json(os, &sampler);
+  EXPECT_NE(os.str().find(R"({"ph":"C","pid":0,"tid":0,"name":"c",)"
+                          R"("ts":500000,"args":{"value":2}})"),
+            std::string::npos);
+}
+
+TEST(TimeSeriesSampler, TraceOutlivingItsSamplerFailsByName) {
+  TraceLog trace;
+  {
+    MetricRegistry reg;
+    TimeSeriesSampler sampler(reg, 1.0);
+    sampler.set_trace(&trace);
+    reg.counter("c").inc();
+    sampler.sample(0.5);
+  }  // the sampler and its table are gone; the trace keeps its marker
+  // The log holds no pointer to the table, so an export without one fails
+  // by name (never reads freed memory), and save() fails before it
+  // creates the file.
+  std::ostringstream os;
+  try {
+    trace.write_chrome_json(os);
+    ADD_FAILURE() << "exported series rows without their sampler";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no TimeSeriesSampler"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string path = "/tmp/dtrainlib_registry_orphan.trace.json";
+  std::remove(path.c_str());
+  EXPECT_THROW(trace.save(path), common::Error);
+  EXPECT_FALSE(std::ifstream(path).good());
+  // A table without the marked row is refused the same way.
+  MetricRegistry other;
+  const TimeSeriesSampler empty(other, 1.0);
+  EXPECT_THROW(trace.write_chrome_json(os, &empty), common::Error);
+}
+
+/// The sampler as it was first written: a dense copy of every cell, and
+/// one trace counter per cell per tick. The oracle for the change-only
+/// table and the trace's row markers.
+class PerCellReferenceSampler {
+ public:
+  explicit PerCellReferenceSampler(const MetricRegistry& reg) : reg_(reg) {}
+
+  void set_trace(TraceLog* trace) { trace_ = trace; }
+
+  void sample(double t) {
+    std::vector<double> row;
+    reg_.for_each_scalar([&](const std::string& name, const Labels& labels,
+                             MetricKind /*kind*/, double value) {
+      if (row.size() == columns.size()) {
+        columns.push_back(name + labels_to_string(labels));
+      }
+      if (trace_ != nullptr) {
+        trace_->counter("metrics", columns[row.size()], t, value);
+      }
+      row.push_back(value);
+    });
+    times.push_back(t);
+    rows.push_back(std::move(row));
+  }
+
+  [[nodiscard]] double at(std::size_t row, std::size_t col) const {
+    return col < rows[row].size() ? rows[row][col] : 0.0;
+  }
+
+  [[nodiscard]] std::string csv() const {
+    std::ostringstream os;
+    os << "time";
+    for (const std::string& c : columns) {
+      os << ',';
+      if (c.find_first_of(",\"") == std::string::npos) {
+        os << c;
+        continue;
+      }
+      os << '"';
+      for (const char ch : c) os << (ch == '"' ? "\"\"" : std::string(1, ch));
+      os << '"';
+    }
+    os << '\n';
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      os << format_number(times[r]);
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        os << ',' << format_number(at(r, c));
+      }
+      os << '\n';
+    }
+    return os.str();
+  }
+
+  std::vector<std::string> columns;
+  std::vector<double> times;
+  std::vector<std::vector<double>> rows;
+
+ private:
+  const MetricRegistry& reg_;
+  TraceLog* trace_ = nullptr;
+};
+
+TEST(TimeSeriesSampler, ChangeOnlyTableMatchesPerCellReference) {
+  // Values whose bits differ where `==` does not tell them apart (+0/-0)
+  // or where `==` never holds (NaN payloads), plus infinities, subnormals
+  // and plain repeats.
+  const double pool[] = {
+      0.0,
+      -0.0,
+      1.0,
+      -2.5,
+      0.1,
+      1e300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),
+      std::bit_cast<double>(std::uint64_t{0xfff8000000000001}),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(std::uint64_t{0x000fffffffffffff}),
+  };
+  constexpr std::size_t kPool = std::size(pool);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&] { return pool[rng() % kPool]; };
+    MetricRegistry reg;
+    TimeSeriesSampler sampler(reg, 0.25);
+    PerCellReferenceSampler ref(reg);
+    TraceLog got;
+    TraceLog want;
+    std::vector<Gauge*> gauges;
+    std::vector<Counter*> counters;
+    const int ticks = 40 + static_cast<int>(rng() % 40);
+    const int attach_at = static_cast<int>(rng() % 12);  // after some ticks
+    double t = 0.0;
+    std::size_t direct = 0;
+    for (int tick = 0; tick < ticks; ++tick) {
+      if (tick == attach_at) {
+        sampler.set_trace(&got);
+        ref.set_trace(&want);
+      }
+      // Series born between ticks, some with labels that need quoting in
+      // the CSV and escaping in the trace.
+      if (rng() % 4 == 0) {
+        const std::string i = std::to_string(gauges.size());
+        gauges.push_back(rng() % 3 == 0
+                             ? &reg.gauge("g" + i, {{"k", "a,\"b\"" + i}})
+                             : &reg.gauge("g" + i));
+        if (rng() % 2 == 0) gauges.back()->set(pick());
+      }
+      if (rng() % 6 == 0) {
+        counters.push_back(
+            &reg.counter("c" + std::to_string(counters.size())));
+      }
+      for (Gauge* g : gauges) {
+        if (rng() % 3 == 0) g->set(pick());
+      }
+      for (Counter* c : counters) {
+        if (rng() % 2 == 0) c->inc(static_cast<double>(rng() % 3));
+      }
+      // Direct counters on a second track between ticks, on both logs
+      // (before the sampler is attached too).
+      for (int k = static_cast<int>(rng() % 3); k > 0; --k) {
+        const std::string name =
+            rng() % 4 == 0 ? "g0" : "mem worker" + std::to_string(rng() % 3);
+        const double v = pick();
+        got.counter("memory", name, t + 0.1, v);
+        want.counter("memory", name, t + 0.1, v);
+        ++direct;
+      }
+      t += rng() % 5 == 0 ? 0.0 : 0.25;  // repeated tick times too
+      sampler.sample(t);
+      ref.sample(t);
+    }
+
+    ASSERT_EQ(sampler.columns(), ref.columns);
+    ASSERT_EQ(sampler.num_rows(), ref.rows.size());
+    for (std::size_t r = 0; r < ref.rows.size(); ++r) {
+      EXPECT_EQ(sampler.row_time(r), ref.times[r]);
+      EXPECT_EQ(sampler.row_width(r), ref.rows[r].size());
+      for (std::size_t c = 0; c < ref.columns.size(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(sampler.at(r, c)),
+                  std::bit_cast<std::uint64_t>(ref.at(r, c)))
+            << "row " << r << " col " << c;
+      }
+    }
+    std::ostringstream csv;
+    sampler.write_csv(csv);
+    EXPECT_EQ(csv.str(), ref.csv());
+
+    // Only the direct calls are counter records; each tick since the
+    // attach is one marker.
+    EXPECT_EQ(got.counter_events().size(), direct);
+    EXPECT_EQ(got.series_rows().size(),
+              static_cast<std::size_t>(ticks - attach_at));
+    std::ostringstream got_json;
+    std::ostringstream want_json;
+    got.write_chrome_json(got_json, &sampler);
+    want.write_chrome_json(want_json);
+    EXPECT_EQ(got_json.str(), want_json.str());
+  }
 }
 
 TEST(TimeSeriesSampler, SaveCsvFailsLoudly) {
