@@ -30,7 +30,10 @@
 #                                    # (AR-SGD/D-PSGD x stall/drop x
 #                                    # clean/lossy links around a
 #                                    # crash-with-rejoin), under
-#                                    # AddressSanitizer
+#                                    # AddressSanitizer, then the
+#                                    # AR-SGD/D-PSGD fixtures of
+#                                    # test_golden under ASan with the
+#                                    # native kernels kept
 #   scripts/check.sh fsdp            # FSDP/ZeRO smoke: the ctest label
 #                                    # `fsdp` (tests/test_fsdp — stage
 #                                    # equivalence, memory-peak ordering,
@@ -102,7 +105,7 @@ if [[ "$SANITIZER" == "membership" ]]; then
   # Membership smoke: the failure-detector + ring-repair suite, then the
   # committed ring-repair campaign end to end — every cell takes a
   # crash-with-rejoin, and the drop cells abort/flush/re-form the ring —
-  # all under AddressSanitizer (shares build-address/ with `address`).
+  # under AddressSanitizer (shares build-address/ with `address`).
   DIR=build-address
   cmake -B "$DIR" -S . -DDT_SANITIZE=address
   cmake --build "$DIR" -j "$(nproc)" --target test_membership dtrain
@@ -112,6 +115,17 @@ if [[ "$SANITIZER" == "membership" ]]; then
   "$DIR/examples/dtrain" --validate examples/configs/ring_repair.ini
   (cd "$TMP" && "$OLDPWD/$DIR/examples/dtrain" --campaign \
     "$OLDPWD/examples/configs/ring_repair.ini")
+  # The ring fixtures of test_golden (static, stall, DGC + wait-free BP,
+  # detector-enabled and ring-repair runs of AR-SGD and D-PSGD), under
+  # ASan in a tree of its own: the flags go in CMAKE_CXX_FLAGS, not
+  # DT_SANITIZE, which would also drop the tensor kernels' native -O3/FMA
+  # build that the fixtures' parameter hashes were captured with.
+  DIR=build-membership
+  cmake -B "$DIR" -S . -DDT_SANITIZE= \
+    "-DCMAKE_CXX_FLAGS=-fsanitize=address -fno-omit-frame-pointer" \
+    "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address"
+  cmake --build "$DIR" -j "$(nproc)" --target test_golden
+  "$DIR/tests/test_golden" --gtest_filter='*Arsgd*:*Dpsgd*'
   exit 0
 fi
 

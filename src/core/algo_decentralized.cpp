@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,228 +64,21 @@ void recover_from_peer(Session& s, runtime::Process& self, int rank,
   if (s.wl.functional()) s.wl.set_params(rank, s.wl.params(src));
 }
 
-// ======================== AR-SGD ===========================================
+// ---- ring repair (membership views; docs/faults.md) -----------------------
 //
-// Synchronous ring AllReduce of gradients every iteration (Reduce-Scatter +
-// All-Gather, as implemented in MPICH). With wait-free BP the parameter
-// slots are grouped into a few buckets, and each bucket's AllReduce starts
-// as soon as its share of the backward pass finishes — communication of
-// bucket b overlaps computation of bucket b-1.
+// AR-SGD and D-PSGD run one ring each. A static ring is the view of every
+// worker at epoch 0, never republished: rounds block on their receives and
+// always complete. Under sync_policy=drop with crashes the ring follows the
+// oracle's epoch-numbered views instead: survivors abort the in-flight
+// round when a new view is published, flush the aborted round's parked
+// chunks, and deterministically re-form the ring over the live member set
+// (chunk ranges rescale inside net::collectives). A crashed rank pulls
+// state from its nearest live member and is readmitted at the next epoch
+// boundary.
 
-struct Bucket {
-  std::size_t first_slot = 0;  // slots [first, last) in forward order
-  std::size_t last_slot = 0;
-  std::int64_t numel = 0;          // functional elements
-  std::uint64_t wire_bytes = 0;
-  double bwd_time = 0.0;           // nominal backward share
-};
-
-std::vector<Bucket> make_buckets(const Session& s, int desired) {
-  const std::size_t n = s.wl.num_slots();
-  const int count =
-      std::clamp<int>(desired, 1, static_cast<int>(n));
-  std::vector<Bucket> buckets(static_cast<std::size_t>(count));
-  // Contiguous slot ranges, near-equal in slot count.
-  for (int b = 0; b < count; ++b) {
-    const std::size_t first = n * static_cast<std::size_t>(b) /
-                              static_cast<std::size_t>(count);
-    const std::size_t last = n * static_cast<std::size_t>(b + 1) /
-                             static_cast<std::size_t>(count);
-    Bucket& bk = buckets[static_cast<std::size_t>(b)];
-    bk.first_slot = first;
-    bk.last_slot = last;
-    for (std::size_t slot = first; slot < last; ++slot) {
-      bk.numel += s.wl.slot_numel(slot);
-      bk.wire_bytes += s.wl.slot_wire_bytes(slot);
-      bk.bwd_time += s.wl.backward_slot_time(slot);
-    }
-  }
-  return buckets;
-}
-
-void launch_arsgd_impl(Session& s) {
-  const int n = s.cfg.num_workers;
-  const float inv_n = 1.0f / static_cast<float>(n);
-  const bool dgc_on = s.cfg.opt.dgc;
-  const double dgc_density =
-      1.0 - compress::DgcCompressor::sparsity_at(s.cfg.opt.dgc_config, 1e9);
-
-  for (int rank = 0; rank < n; ++rank) {
-    s.engine.spawn(
-        "worker" + std::to_string(rank),
-        [&s, rank, n, inv_n, dgc_on, dgc_density](runtime::Process& self) {
-          const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
-          s.network->bind(wep, self);
-          auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
-          common::Rng rng = s.worker_rng(rank);
-          CurveRecorder curve(s, rank);
-          const SyncProbes sync = SyncProbes::make(s);
-
-          net::Communicator comm{.net = s.network.get(),
-                                 .endpoints = s.worker_ep,
-                                 .my_rank = rank};
-          const int right_ep =
-              s.worker_ep[static_cast<std::size_t>((rank + 1) % n)];
-
-          std::unique_ptr<compress::DgcCompressor> dgc;
-          if (dgc_on && s.wl.functional()) {
-            std::vector<std::int64_t> sizes;
-            for (std::size_t i = 0; i < s.wl.num_slots(); ++i) {
-              sizes.push_back(s.wl.slot_numel(i));
-            }
-            compress::DgcConfig dcfg = s.cfg.opt.dgc_config;
-            dcfg.num_workers = n;
-            dcfg.momentum = s.cfg.sgd.momentum;
-            dgc = std::make_unique<compress::DgcCompressor>(dcfg,
-                                                            std::move(sizes));
-          }
-
-          const auto buckets =
-              make_buckets(s, s.cfg.opt.wait_free_bp ? 4 : 1);
-          const std::int64_t iters = s.iterations_per_worker();
-          const bool fn = s.wl.functional();
-
-          for (std::int64_t it = 0; it < iters; ++it) {
-            if (s.fault_plan.has_crashes() &&
-                s.crash_pending(rank, self.now())) {
-              s.take_crash(self, rank);
-              // The ring stalls while this rank is down (no bucket's
-              // collective can complete without it), so every peer replica
-              // is frozen at this rank's own step — copy the right
-              // neighbor's. Checkpoint restore is never used: resuming an
-              // older step would desynchronize the ring. The mailbox is NOT
-              // drained; it may hold valid in-step ring chunks.
-              if (n > 1) {
-                const int src = (rank + 1) % n;
-                s.network->transfer(
-                    self, s.worker_ep[static_cast<std::size_t>(src)], wep,
-                    model_wire_bytes(s));
-                if (fn) s.wl.set_params(rank, s.wl.params(src));
-              }
-            }
-            const double epoch = s.epoch_of(it);
-            const float lr = s.lr_at(epoch);
-
-            double loss = 0.0;
-            {
-              PhaseTimer t(self, wm, Phase::compute);
-              // AR-SGD workers touch only their own replica until the
-              // AllReduce below, so forward+backward can run on the host
-              // pool over the modeled forward interval (see
-              // Process::advance_compute; the RNG draw stays on the
-              // simulated thread).
-              const double fwd =
-                  s.fault_stretch(self, rank, s.wl.forward_time(rng));
-              if (fn) {
-                self.advance_compute(
-                    fwd, [&s, &loss, rank] { loss = s.wl.compute_gradients(rank); });
-              } else {
-                self.advance(fwd);
-              }
-              if (!s.cfg.opt.wait_free_bp) {
-                self.advance(
-                    s.fault_stretch(self, rank, s.wl.backward_time(rng)));
-              }
-            }
-
-            // AllReduce per bucket, last bucket (output layers) first —
-            // with wait-free BP its backward share is advanced right
-            // before its collective, so buckets pipeline.
-            double nominal_bwd = 0.0;
-            for (const auto& b : buckets) nominal_bwd += b.bwd_time;
-            const double total_bwd =
-                s.cfg.opt.wait_free_bp
-                    ? s.fault_stretch(self, rank, s.wl.backward_time(rng))
-                    : 0.0;
-            const double bwd_scale =
-                nominal_bwd > 0.0 ? total_bwd / nominal_bwd : 0.0;
-
-            std::vector<float> flat;  // gradient buffer for current bucket
-            for (std::size_t bi = buckets.size(); bi-- > 0;) {
-              const Bucket& bucket = buckets[bi];
-              if (s.cfg.opt.wait_free_bp) {
-                PhaseTimer t(self, wm, Phase::compute);
-                self.advance(bucket.bwd_time * bwd_scale);
-              }
-
-              flat.clear();
-              std::uint64_t wire = bucket.wire_bytes;
-              if (fn) {
-                flat.assign(static_cast<std::size_t>(bucket.numel), 0.0f);
-                std::size_t off = 0;
-                std::uint64_t sparse_wire = 0;
-                for (std::size_t slot = bucket.first_slot;
-                     slot < bucket.last_slot; ++slot) {
-                  const auto& g = s.wl.grad_slot(rank, slot);
-                  if (dgc) {
-                    // DGC mask: only the selected entries enter the
-                    // AllReduce; the wire cost is the sparse encoding.
-                    auto sp = dgc->compress(slot, g.data(), epoch);
-                    for (std::size_t j = 0; j < sp.indices.size(); ++j) {
-                      flat[off + sp.indices[j]] = sp.values[j];
-                    }
-                    sparse_wire += sp.wire_bytes();
-                  } else {
-                    std::copy(g.data().begin(), g.data().end(),
-                              flat.begin() + static_cast<std::ptrdiff_t>(off));
-                  }
-                  off += static_cast<std::size_t>(s.wl.slot_numel(slot));
-                }
-                if (dgc) wire = std::max<std::uint64_t>(8, sparse_wire);
-              } else if (dgc_on) {
-                wire = std::max<std::uint64_t>(
-                    8, static_cast<std::uint64_t>(
-                           static_cast<double>(wire) * dgc_density * 2.0));
-              }
-
-              const double t0 = self.now();
-              net::ring_allreduce(self, comm, flat, wire,
-                                  kTagAllreduce + 2 * static_cast<int>(bi));
-              const std::uint64_t chunk =
-                  std::max<std::uint64_t>(1, wire / static_cast<std::uint64_t>(n));
-              const double est =
-                  2.0 * static_cast<double>(n - 1) *
-                  s.uncontended_time(chunk, wep, right_ep);
-              account_window(self, wm, t0, est, sync);
-
-              if (fn) {
-                // Average and apply this bucket's slots locally. Every
-                // worker applies the identical averaged gradient, so
-                // replicas stay synchronized like BSP.
-                std::size_t off = 0;
-                for (std::size_t slot = bucket.first_slot;
-                     slot < bucket.last_slot; ++slot) {
-                  const auto numel =
-                      static_cast<std::size_t>(s.wl.slot_numel(slot));
-                  tensor::Tensor g(s.wl.grad_slot(rank, slot).shape());
-                  for (std::size_t j = 0; j < numel; ++j) {
-                    g[j] = flat[off + j] * inv_n;
-                  }
-                  off += numel;
-                  s.wl.apply_slot_gradient(rank, slot, g, lr);
-                }
-              }
-            }
-
-            wm.count_iteration(s.wl.batch_size());
-            curve.maybe_record(self, it + 1, loss);
-          }
-        });
-  }
-}
-
-// ---- elastic ring repair (membership views; docs/faults.md) ---------------
-//
-// AR-SGD and D-PSGD under sync_policy=drop rebuild their ring from the
-// oracle's epoch-numbered views: survivors abort the in-flight round when a
-// new view is published, flush the aborted round's parked chunks, and
-// deterministically re-form the ring over the live member set (chunk ranges
-// rescale inside net::collectives). A crashed rank pulls state from its
-// nearest live member and is readmitted at the next epoch boundary.
-
-/// True when the launcher must use the view-driven elastic path. Kept
-/// narrower than membership_engaged(): enabled-only runs (measurement) keep
-/// the legacy stall behavior bit-identical.
+/// True when the ring follows the oracle's views. Kept narrower than
+/// membership_engaged(): enabled-only runs (measurement) keep the static
+/// ring and its stall recovery bit-identical.
 bool ring_repair_active(const Session& s) {
   return s.membership_engaged() && s.fault_plan.has_crashes() &&
          s.fault_plan.sync_policy() == faults::SyncPolicy::drop;
@@ -364,36 +158,182 @@ void elastic_rejoin(Session& s, runtime::Process& self, int rank) {
   while (!oracle.in_view(rank)) self.advance(poll);
 }
 
-/// AR-SGD with ring repair: each round reduces ONE dense bucket over the
-/// current view's ring via the elastic collective, retrying under
-/// successive views until an attempt completes, and rescales by the
-/// contributor count of the completed round.
-void launch_arsgd_elastic(Session& s) {
+/// Unique ring neighbours of `rank` in the sorted `members`: the next
+/// member, then the previous one when distinct. None when `rank` is alone
+/// or not a member.
+std::vector<int> ring_neighbours(const std::vector<int>& members, int rank) {
+  const auto it = std::lower_bound(members.begin(), members.end(), rank);
+  const std::size_t k = members.size();
+  if (k < 2 || it == members.end() || *it != rank) return {};
+  const auto idx = static_cast<std::size_t>(it - members.begin());
+  std::vector<int> out{members[(idx + 1) % k]};
+  const int prev = members[(idx + k - 1) % k];
+  if (prev != out.front()) out.push_back(prev);
+  return out;
+}
+
+// ======================== AR-SGD ===========================================
+//
+// Synchronous ring AllReduce of gradients every iteration (Reduce-Scatter +
+// All-Gather, as implemented in MPICH). With wait-free BP the parameter
+// slots are grouped into a few buckets, and each bucket's AllReduce starts
+// as soon as its share of the backward pass finishes — communication of
+// bucket b overlaps computation of bucket b-1.
+
+struct Bucket {
+  std::size_t first_slot = 0;  // slots [first, last) in forward order
+  std::size_t last_slot = 0;
+  std::int64_t numel = 0;          // functional elements
+  std::uint64_t wire_bytes = 0;
+  double bwd_time = 0.0;           // nominal backward share
+};
+
+std::vector<Bucket> make_buckets(const Session& s, int desired) {
+  const std::size_t n = s.wl.num_slots();
+  const int count =
+      std::clamp<int>(desired, 1, static_cast<int>(n));
+  std::vector<Bucket> buckets(static_cast<std::size_t>(count));
+  // Contiguous slot ranges, near-equal in slot count.
+  for (int b = 0; b < count; ++b) {
+    const std::size_t first = n * static_cast<std::size_t>(b) /
+                              static_cast<std::size_t>(count);
+    const std::size_t last = n * static_cast<std::size_t>(b + 1) /
+                             static_cast<std::size_t>(count);
+    Bucket& bk = buckets[static_cast<std::size_t>(b)];
+    bk.first_slot = first;
+    bk.last_slot = last;
+    for (std::size_t slot = first; slot < last; ++slot) {
+      bk.numel += s.wl.slot_numel(slot);
+      bk.wire_bytes += s.wl.slot_wire_bytes(slot);
+      bk.bwd_time += s.wl.backward_slot_time(slot);
+    }
+  }
+  return buckets;
+}
+
+/// The AllReduce round of one bucket that completed.
+struct RingRound {
+  int contributors = 1;  // ranks whose gradients the round summed
+  double est = 0.0;      // its uncontended duration (account_window)
+};
+
+/// Sum-AllReduces `flat` (bucket `bucket`, `wire` bytes) over the ring.
+/// The static ring (`everyone` at epoch 0) completes on the first pass.
+/// Under ring repair each pass forms the ring over the oracle's current
+/// view and aborts when a new view is published; `refill` then restores
+/// `flat` from the gradient slots (the aborted pass left partial sums in
+/// it) and the next pass retries under the new view. Only one dense bucket
+/// runs under ring repair (Session validation), so `refill` never
+/// re-compresses.
+template <class Refill>
+RingRound allreduce_bucket(Session& s, runtime::Process& self, int rank,
+                           const net::Communicator& everyone, bool repair,
+                           std::vector<float>& flat, std::uint64_t wire,
+                           int bucket, Refill&& refill) {
+  for (;;) {
+    std::int64_t e = 0;
+    net::Communicator view_ring;
+    std::optional<net::AbortGuard> guard;
+    if (repair) {
+      auto& oracle = s.oracle();
+      const double poll = oracle.config().period_s;
+      if (!oracle.in_view(rank)) {
+        // Evicted while live (a straggler silent beyond timeout+confirm):
+        // ask back in, wait for the boundary.
+        oracle.request_join(rank);
+        self.advance(poll);
+        continue;
+      }
+      e = oracle.epoch();
+      const std::vector<int>& members = oracle.view().members;
+      if (members.size() <= 1) return {};  // solo round: own gradient
+      s.mprobes.flushed_packets->inc(net::flush_stale_epochs(
+          self, *s.network, everyone.my_endpoint(), kTagAllreduce, e));
+      view_ring = view_comm(s, members, rank);
+      guard = net::AbortGuard{poll,
+                              [&oracle, e] { return oracle.epoch() != e; }};
+    }
+    const net::Communicator& comm = repair ? view_ring : everyone;
+    const net::ElasticStatus st = net::ring_allreduce(
+        self, comm, flat, wire,
+        net::epoch_tag_base(kTagAllreduce, e) + 2 * bucket, e,
+        guard.has_value() ? &*guard : nullptr);
+    if (st.completed) {
+      const int k = comm.size();
+      const std::uint64_t chunk =
+          std::max<std::uint64_t>(1, wire / static_cast<std::uint64_t>(k));
+      const int right_ep =
+          comm.endpoints[static_cast<std::size_t>((comm.my_rank + 1) % k)];
+      return {k, 2.0 * static_cast<double>(k - 1) *
+                     s.uncontended_time(chunk, comm.my_endpoint(), right_ep)};
+    }
+    s.mprobes.aborted_rounds->inc();
+    refill();
+  }
+}
+
+}  // namespace
+
+void launch_arsgd(Session& s) {
   const int n = s.cfg.num_workers;
+  const bool repair = ring_repair_active(s);
+  const bool dgc_on = s.cfg.opt.dgc;
+  const double dgc_density =
+      1.0 - compress::DgcCompressor::sparsity_at(s.cfg.opt.dgc_config, 1e9);
+
   for (int rank = 0; rank < n; ++rank) {
     s.engine.spawn(
         "worker" + std::to_string(rank),
-        [&s, rank](runtime::Process& self) {
+        [&s, rank, n, repair, dgc_on, dgc_density](runtime::Process& self) {
           const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
           s.network->bind(wep, self);
           auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
           common::Rng rng = s.worker_rng(rank);
           CurveRecorder curve(s, rank);
           const SyncProbes sync = SyncProbes::make(s);
-          auto& oracle = s.oracle();
-          const double poll = oracle.config().period_s;
 
-          // One dense bucket per round: a retry re-reduces the whole
-          // gradient, so per-bucket pipelining (wait-free BP) and
-          // compression are excluded by the Session validation.
-          const Bucket bucket = make_buckets(s, 1).front();
+          const net::Communicator everyone{.net = s.network.get(),
+                                           .endpoints = s.worker_ep,
+                                           .my_rank = rank};
+
+          std::unique_ptr<compress::DgcCompressor> dgc;
+          if (dgc_on && s.wl.functional()) {
+            std::vector<std::int64_t> sizes;
+            for (std::size_t i = 0; i < s.wl.num_slots(); ++i) {
+              sizes.push_back(s.wl.slot_numel(i));
+            }
+            compress::DgcConfig dcfg = s.cfg.opt.dgc_config;
+            dcfg.num_workers = n;
+            dcfg.momentum = s.cfg.sgd.momentum;
+            dgc = std::make_unique<compress::DgcCompressor>(dcfg,
+                                                            std::move(sizes));
+          }
+
+          const auto buckets =
+              make_buckets(s, s.cfg.opt.wait_free_bp ? 4 : 1);
           const std::int64_t iters = s.iterations_per_worker();
           const bool fn = s.wl.functional();
 
           for (std::int64_t it = 0; it < iters; ++it) {
-            if (s.crash_pending(rank, self.now())) {
+            if (s.fault_plan.has_crashes() &&
+                s.crash_pending(rank, self.now())) {
               s.take_crash(self, rank);
-              elastic_rejoin(s, self, rank);
+              if (repair) {
+                elastic_rejoin(s, self, rank);
+              } else if (n > 1) {
+                // The ring stalls while this rank is down (no bucket's
+                // collective can complete without it), so every peer
+                // replica is frozen at this rank's own step — copy the
+                // right neighbor's. Checkpoint restore is never used:
+                // resuming an older step would desynchronize the ring. The
+                // mailbox is NOT drained; it may hold valid in-step ring
+                // chunks.
+                const int src = (rank + 1) % n;
+                s.network->transfer(
+                    self, s.worker_ep[static_cast<std::size_t>(src)], wep,
+                    model_wire_bytes(s));
+                if (fn) s.wl.set_params(rank, s.wl.params(src));
+              }
             }
             const double epoch = s.epoch_of(it);
             const float lr = s.lr_at(epoch);
@@ -401,100 +341,114 @@ void launch_arsgd_elastic(Session& s) {
             double loss = 0.0;
             {
               PhaseTimer t(self, wm, Phase::compute);
+              // AR-SGD workers touch only their own replica until the
+              // AllReduce below, so forward+backward can run on the host
+              // pool over the modeled forward interval (see
+              // Process::advance_compute; the RNG draw stays on the
+              // simulated thread).
               const double fwd =
                   s.fault_stretch(self, rank, s.wl.forward_time(rng));
               if (fn) {
-                self.advance_compute(fwd, [&s, &loss, rank] {
-                  loss = s.wl.compute_gradients(rank);
-                });
+                self.advance_compute(
+                    fwd, [&s, &loss, rank] { loss = s.wl.compute_gradients(rank); });
               } else {
                 self.advance(fwd);
               }
-              self.advance(
-                  s.fault_stretch(self, rank, s.wl.backward_time(rng)));
-            }
-
-            // Pristine flattened gradient: every retry re-reduces from
-            // this copy (an aborted attempt leaves partial sums in `work`).
-            std::vector<float> flat;
-            if (fn) {
-              flat.assign(static_cast<std::size_t>(bucket.numel), 0.0f);
-              std::size_t off = 0;
-              for (std::size_t slot = bucket.first_slot;
-                   slot < bucket.last_slot; ++slot) {
-                const auto& g = s.wl.grad_slot(rank, slot);
-                std::copy(g.data().begin(), g.data().end(),
-                          flat.begin() + static_cast<std::ptrdiff_t>(off));
-                off += static_cast<std::size_t>(s.wl.slot_numel(slot));
+              if (!s.cfg.opt.wait_free_bp) {
+                self.advance(
+                    s.fault_stretch(self, rank, s.wl.backward_time(rng)));
               }
             }
 
-            const double t0 = self.now();
-            std::vector<float> work;
-            int contributors = 1;
-            double est = 0.0;
-            for (;;) {
-              if (!oracle.in_view(rank)) {
-                // Evicted while live (a straggler silent beyond
-                // timeout+confirm): ask back in, wait for the boundary.
-                oracle.request_join(rank);
-                self.advance(poll);
-                continue;
-              }
-              const std::int64_t e = oracle.epoch();
-              const std::vector<int> members = oracle.view().members;
-              if (members.size() <= 1) {
-                work = flat;  // solo round: own gradient, scale 1
-                break;
-              }
-              s.mprobes.flushed_packets->inc(net::flush_stale_epochs(
-                  self, *s.network, wep, kTagElasticAllreduce, e));
-              const net::Communicator comm = view_comm(s, members, rank);
-              work = flat;
-              const net::ElasticStatus st = net::ring_allreduce_elastic(
-                  self, comm, work, bucket.wire_bytes, kTagElasticAllreduce,
-                  e, poll, [&oracle, e] { return oracle.epoch() != e; });
-              if (st.completed) {
-                const int k = comm.size();
-                const std::uint64_t chunk = std::max<std::uint64_t>(
-                    1, bucket.wire_bytes / static_cast<std::uint64_t>(k));
-                const int right_ep = comm.endpoints[static_cast<std::size_t>(
-                    (comm.my_rank + 1) % k)];
-                est = 2.0 * static_cast<double>(k - 1) *
-                      s.uncontended_time(chunk, wep, right_ep);
-                contributors = k;
-                break;
-              }
-              s.mprobes.aborted_rounds->inc();
-            }
-            account_window(self, wm, t0, est, sync);
+            // AllReduce per bucket, last bucket (output layers) first —
+            // with wait-free BP its backward share is advanced right
+            // before its collective, so buckets pipeline.
+            double nominal_bwd = 0.0;
+            for (const auto& b : buckets) nominal_bwd += b.bwd_time;
+            const double total_bwd =
+                s.cfg.opt.wait_free_bp
+                    ? s.fault_stretch(self, rank, s.wl.backward_time(rng))
+                    : 0.0;
+            const double bwd_scale =
+                nominal_bwd > 0.0 ? total_bwd / nominal_bwd : 0.0;
 
-            if (fn) {
-              // Average over the contributors of the COMPLETED round and
-              // apply locally: every member of that round applies the
-              // identical averaged gradient, so their replicas stay
-              // synchronized.
-              const float inv = 1.0f / static_cast<float>(contributors);
-              std::size_t off = 0;
-              for (std::size_t slot = bucket.first_slot;
-                   slot < bucket.last_slot; ++slot) {
-                const auto numel =
-                    static_cast<std::size_t>(s.wl.slot_numel(slot));
-                tensor::Tensor g(s.wl.grad_slot(rank, slot).shape());
-                for (std::size_t j = 0; j < numel; ++j) {
-                  g[j] = work[off + j] * inv;
+            std::vector<float> flat;  // gradient buffer for current bucket
+            // Flattens `bucket`'s gradient slots into `flat` (DGC-masked
+            // when on) and returns the bucket's wire size.
+            const auto flatten = [&](const Bucket& bucket) {
+              flat.clear();
+              std::uint64_t wire = bucket.wire_bytes;
+              if (fn) {
+                flat.assign(static_cast<std::size_t>(bucket.numel), 0.0f);
+                std::size_t off = 0;
+                std::uint64_t sparse_wire = 0;
+                for (std::size_t slot = bucket.first_slot;
+                     slot < bucket.last_slot; ++slot) {
+                  const auto& g = s.wl.grad_slot(rank, slot);
+                  if (dgc) {
+                    // DGC mask: only the selected entries enter the
+                    // AllReduce; the wire cost is the sparse encoding.
+                    auto sp = dgc->compress(slot, g.data(), epoch);
+                    for (std::size_t j = 0; j < sp.indices.size(); ++j) {
+                      flat[off + sp.indices[j]] = sp.values[j];
+                    }
+                    sparse_wire += sp.wire_bytes();
+                  } else {
+                    std::copy(g.data().begin(), g.data().end(),
+                              flat.begin() + static_cast<std::ptrdiff_t>(off));
+                  }
+                  off += static_cast<std::size_t>(s.wl.slot_numel(slot));
                 }
-                off += numel;
-                s.wl.apply_slot_gradient(rank, slot, g, lr);
+                if (dgc) wire = std::max<std::uint64_t>(8, sparse_wire);
+              } else if (dgc_on) {
+                wire = std::max<std::uint64_t>(
+                    8, static_cast<std::uint64_t>(
+                           static_cast<double>(wire) * dgc_density * 2.0));
+              }
+              return wire;
+            };
+            for (std::size_t bi = buckets.size(); bi-- > 0;) {
+              const Bucket& bucket = buckets[bi];
+              if (s.cfg.opt.wait_free_bp) {
+                PhaseTimer t(self, wm, Phase::compute);
+                self.advance(bucket.bwd_time * bwd_scale);
+              }
+
+              const std::uint64_t wire = flatten(bucket);
+              const double t0 = self.now();
+              const RingRound round = allreduce_bucket(
+                  s, self, rank, everyone, repair, flat, wire,
+                  static_cast<int>(bi), [&] { flatten(bucket); });
+              account_window(self, wm, t0, round.est, sync);
+
+              if (fn) {
+                // Average over the contributors of the completed round and
+                // apply this bucket's slots locally. Every member of that
+                // round applies the identical averaged gradient, so
+                // replicas stay synchronized like BSP.
+                const float inv = 1.0f / static_cast<float>(round.contributors);
+                std::size_t off = 0;
+                for (std::size_t slot = bucket.first_slot;
+                     slot < bucket.last_slot; ++slot) {
+                  const auto numel =
+                      static_cast<std::size_t>(s.wl.slot_numel(slot));
+                  tensor::Tensor g(s.wl.grad_slot(rank, slot).shape());
+                  for (std::size_t j = 0; j < numel; ++j) {
+                    g[j] = flat[off + j] * inv;
+                  }
+                  off += numel;
+                  s.wl.apply_slot_gradient(rank, slot, g, lr);
+                }
               }
             }
 
             wm.count_iteration(s.wl.batch_size());
             curve.maybe_record(self, it + 1, loss);
           }
-          // Leave the view (immediate publication): remaining members
-          // shrink their ring instead of waiting on a departed peer.
-          s.mark_finished(rank, self.now());
+          // Under ring repair, leave the view (immediate publication):
+          // remaining members shrink their ring instead of waiting on a
+          // departed peer.
+          if (repair) s.mark_finished(rank, self.now());
         });
   }
 }
@@ -506,7 +460,7 @@ void launch_arsgd_elastic(Session& s) {
 // continuing immediately. A background receiver process per worker merges
 // incoming pushes by weighted averaging (Blot et al.).
 
-void launch_gosgd_impl(Session& s) {
+void launch_gosgd(Session& s) {
   const int n = s.cfg.num_workers;
   auto weights = std::make_shared<std::vector<double>>(
       static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
@@ -627,7 +581,7 @@ void launch_gosgd_impl(Session& s) {
 // then both sides hold the average. A passive responder daemon models the
 // paper's background communication thread.
 
-void launch_adpsgd_impl(Session& s) {
+void launch_adpsgd(Session& s) {
   const int n = s.cfg.num_workers;
 
   std::vector<int> passives;
@@ -756,17 +710,26 @@ void launch_adpsgd_impl(Session& s) {
 // iteration every worker exchanges parameters with both ring neighbors,
 // replaces its parameters by the uniform average of {self, neighbors} and
 // then applies its own gradient (computed at the pre-averaging point).
-// Extension beyond the paper's selected seven. Iteration parity is encoded
-// in the tag so a worker one step ahead cannot feed next-iteration
-// parameters into a neighbor still collecting the current ones.
+// Extension beyond the paper's selected seven. Round parity is encoded in
+// the tag so a worker one step ahead cannot feed next-round parameters into
+// a neighbor still collecting the current ones.
+//
+// Neighbors come from the ring's view and parity is counted per epoch: on
+// the static ring that is the iteration parity. Under ring repair every
+// member resets its counter when a new view is published, so neighbor
+// parities realign after any abort, and a round whose exchange aborts on a
+// view change falls back to a solo step (own gradient only) instead of
+// retrying — parameters were already sent, so the retry semantics of
+// AR-SGD do not apply.
 
-void launch_dpsgd_impl(Session& s) {
+void launch_dpsgd(Session& s) {
   const int n = s.cfg.num_workers;
+  const bool repair = ring_repair_active(s);
 
   for (int rank = 0; rank < n; ++rank) {
     s.engine.spawn(
         "worker" + std::to_string(rank),
-        [&s, rank, n](runtime::Process& self) {
+        [&s, rank, n, repair](runtime::Process& self) {
           const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
           s.network->bind(wep, self);
           auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
@@ -774,34 +737,64 @@ void launch_dpsgd_impl(Session& s) {
           CurveRecorder curve(s, rank);
           const SyncProbes sync = SyncProbes::make(s);
           const std::int64_t iters = s.iterations_per_worker();
+          const bool fn = s.wl.functional();
+          membership::MembershipOracle* oracle =
+              repair ? &s.oracle() : nullptr;
+          // The static ring's view: every worker, at epoch 0.
+          std::vector<int> everyone(static_cast<std::size_t>(n));
+          std::iota(everyone.begin(), everyone.end(), 0);
+          // Checkpoints serve the stall recovery only.
+          CrashCheckpoint ck =
+              repair ? CrashCheckpoint{} : CrashCheckpoint::make(s);
 
-          // Unique ring neighbors (one when n == 2, none when n == 1).
-          std::vector<int> neighbors;
-          if (n > 1) neighbors.push_back((rank + 1) % n);
-          if (n > 2) neighbors.push_back((rank + n - 1) % n);
-          CrashCheckpoint ck = CrashCheckpoint::make(s);
+          std::int64_t seen_epoch = -1;
+          std::int64_t rounds_in_epoch = 0;
+          std::vector<int> nbrs;
 
           for (std::int64_t it = 0; it < iters; ++it) {
             if (s.fault_plan.has_crashes() &&
                 s.crash_pending(rank, self.now())) {
-              // Neighbors stall in their recv of this iteration's parity
+              // Stall: neighbors wait in their recv of this round's parity
               // tag until the rejoined rank re-sends below. The mailbox is
-              // NOT drained; it holds their valid in-iteration packets.
+              // NOT drained; it holds their valid in-round packets.
               s.take_crash(self, rank);
-              recover_from_peer(s, self, rank, ck);
+              if (repair) {
+                elastic_rejoin(s, self, rank);
+              } else {
+                recover_from_peer(s, self, rank, ck);
+              }
             }
             const double epoch = s.epoch_of(it);
             const float lr = s.lr_at(epoch);
-            const int tag = kTagDpsgd + static_cast<int>(it % 2);
 
-            {
+            const std::int64_t e = repair ? oracle->epoch() : 0;
+            if (e != seen_epoch) {
+              seen_epoch = e;
+              rounds_in_epoch = 0;
+              nbrs = ring_neighbours(repair ? oracle->view().members : everyone,
+                                     rank);
+            }
+            // Evicted while live: run solo rounds, asking back in; the
+            // readmission lands at the next epoch boundary.
+            if (repair && !oracle->in_view(rank)) oracle->request_join(rank);
+            const int tag = net::epoch_tag_base(kTagDpsgd, e) +
+                            static_cast<int>(rounds_in_epoch % 2);
+
+            if (!nbrs.empty()) {
               PhaseTimer t(self, wm, Phase::comm);
+              if (repair) {
+                s.mprobes.flushed_packets->inc(net::flush_stale_epochs(
+                    self, *s.network, wep, kTagDpsgd, e));
+              }
               // One parameter snapshot shared by every neighbor send: the
               // Packet copies below bump the payload refcount instead of
               // duplicating the model. Safe because only this rank's own
               // process blends into its replica (after the recv below).
-              const Packet proto = param_packet(s, rank, tag);
-              for (int nb : neighbors) {
+              // Packet.c carries the epoch so a neighbor in another view
+              // discards it.
+              Packet proto = param_packet(s, rank, tag);
+              proto.c = e;
+              for (int nb : nbrs) {
                 Packet pkt = proto;
                 s.network->send(self, wep,
                                 s.worker_ep[static_cast<std::size_t>(nb)],
@@ -817,141 +810,6 @@ void launch_dpsgd_impl(Session& s) {
               // the whole compute interval and the numerics can be offloaded.
               const double fwd =
                   s.fault_stretch(self, rank, s.wl.forward_time(rng));
-              if (s.wl.functional()) {
-                self.advance_compute(
-                    fwd, [&s, &loss, rank] { loss = s.wl.compute_gradients(rank); });
-              } else {
-                self.advance(fwd);
-              }
-              self.advance(
-                  s.fault_stretch(self, rank, s.wl.backward_time(rng)));
-            }
-
-            if (!neighbors.empty()) {
-              const double t0 = self.now();
-              std::vector<Packet> received;
-              received.reserve(neighbors.size());
-              for (std::size_t i = 0; i < neighbors.size(); ++i) {
-                received.push_back(s.network->recv(self, wep, tag));
-              }
-              const double est =
-                  2.0 * s.uncontended_time(
-                            received.front().wire_bytes, wep,
-                            s.worker_ep[static_cast<std::size_t>(
-                                neighbors.front())]);
-              account_window(self, wm, t0, est, sync);
-
-              if (s.wl.functional()) {
-                // Uniform average over {self} u neighbors via sequential
-                // convex blends: blending packet k (0-based) with weight
-                // 1/(k+2) keeps a running mean.
-                for (std::size_t k = 0; k < received.size(); ++k) {
-                  s.wl.blend_params(rank, received[k].tensors(),
-                                    1.0f / static_cast<float>(k + 2));
-                }
-              }
-            }
-
-            if (s.wl.functional()) {
-              s.wl.apply_gradients(rank, s.wl.gradients(rank), lr);
-            }
-
-            wm.count_iteration(s.wl.batch_size());
-            curve.maybe_record(self, it + 1, loss);
-            ck.maybe_snapshot(s, self, rank);
-          }
-        });
-  }
-}
-
-/// D-PSGD with ring repair: neighbors come from the current view's ring,
-/// round parity is counted per epoch (every member resets its counter when
-/// a new view is published, so neighbor parities realign after any abort),
-/// and a round whose exchange aborts on a view change falls back to a solo
-/// step (own gradient only) instead of retrying — parameters were already
-/// sent, so the retry semantics of AR-SGD do not apply.
-void launch_dpsgd_elastic(Session& s) {
-  const int n = s.cfg.num_workers;
-  for (int rank = 0; rank < n; ++rank) {
-    s.engine.spawn(
-        "worker" + std::to_string(rank),
-        [&s, rank](runtime::Process& self) {
-          const int wep = s.worker_ep[static_cast<std::size_t>(rank)];
-          s.network->bind(wep, self);
-          auto& wm = s.wmetrics[static_cast<std::size_t>(rank)];
-          common::Rng rng = s.worker_rng(rank);
-          CurveRecorder curve(s, rank);
-          const SyncProbes sync = SyncProbes::make(s);
-          auto& oracle = s.oracle();
-          const double poll = oracle.config().period_s;
-          const std::int64_t iters = s.iterations_per_worker();
-          const bool fn = s.wl.functional();
-
-          std::int64_t seen_epoch = oracle.epoch();
-          std::int64_t rounds_in_epoch = 0;
-
-          for (std::int64_t it = 0; it < iters; ++it) {
-            if (s.crash_pending(rank, self.now())) {
-              s.take_crash(self, rank);
-              elastic_rejoin(s, self, rank);
-            }
-            const double epoch = s.epoch_of(it);
-            const float lr = s.lr_at(epoch);
-
-            const std::int64_t e = oracle.epoch();
-            if (e != seen_epoch) {
-              seen_epoch = e;
-              rounds_in_epoch = 0;
-            }
-            const bool in_view = oracle.in_view(rank);
-            // Evicted while live: run solo rounds, asking back in; the
-            // readmission lands at the next epoch boundary.
-            if (!in_view) oracle.request_join(rank);
-
-            // Unique ring neighbors within the view.
-            std::vector<int> nbrs;
-            if (in_view) {
-              const std::vector<int>& members = oracle.view().members;
-              const int k = static_cast<int>(members.size());
-              if (k > 1) {
-                int idx = 0;
-                for (int i = 0; i < k; ++i) {
-                  if (members[static_cast<std::size_t>(i)] == rank) idx = i;
-                }
-                nbrs.push_back(
-                    members[static_cast<std::size_t>((idx + 1) % k)]);
-                const int prev =
-                    members[static_cast<std::size_t>((idx + k - 1) % k)];
-                if (prev != nbrs.front()) nbrs.push_back(prev);
-              }
-            }
-            const int tag = net::epoch_tag_base(kTagElasticDpsgd, e) +
-                            static_cast<int>(rounds_in_epoch % 2);
-
-            if (!nbrs.empty()) {
-              PhaseTimer t(self, wm, Phase::comm);
-              s.mprobes.flushed_packets->inc(net::flush_stale_epochs(
-                  self, *s.network, wep, kTagElasticDpsgd, e));
-              // One parameter snapshot shared by every neighbor send (the
-              // copies bump the payload refcount); Packet.c carries the
-              // epoch so a neighbor in another view discards it.
-              Packet proto = param_packet(s, rank, tag);
-              proto.c = e;
-              for (int nb : nbrs) {
-                Packet pkt = proto;
-                s.network->send(self, wep,
-                                s.worker_ep[static_cast<std::size_t>(nb)],
-                                std::move(pkt));
-              }
-            }
-
-            double loss = 0.0;
-            {
-              PhaseTimer t(self, wm, Phase::compute);
-              // Replica private for the whole interval (neighbor blends
-              // happen below on this thread), so numerics can offload.
-              const double fwd =
-                  s.fault_stretch(self, rank, s.wl.forward_time(rng));
               if (fn) {
                 self.advance_compute(fwd, [&s, &loss, rank] {
                   loss = s.wl.compute_gradients(rank);
@@ -965,19 +823,23 @@ void launch_dpsgd_elastic(Session& s) {
 
             if (!nbrs.empty()) {
               const double t0 = self.now();
+              std::optional<net::AbortGuard> guard;
+              if (repair) {
+                guard = net::AbortGuard{oracle->config().period_s,
+                                        [oracle, e] {
+                                          return oracle->epoch() != e;
+                                        }};
+              }
               std::vector<Packet> received;
-              bool aborted = false;
+              received.reserve(nbrs.size());
               while (received.size() < nbrs.size()) {
-                if (oracle.epoch() != e) {
-                  aborted = true;
-                  break;
-                }
-                std::optional<Packet> pkt =
-                    s.network->recv_until(self, wep, tag, self.now() + poll);
-                if (!pkt.has_value()) continue;
-                if (pkt->c != e) continue;  // stale aliased-epoch packet
+                std::optional<Packet> pkt = net::recv_in_epoch(
+                    self, *s.network, wep, tag, e,
+                    guard.has_value() ? &*guard : nullptr);
+                if (!pkt.has_value()) break;
                 received.push_back(std::move(*pkt));
               }
+              const bool aborted = received.size() < nbrs.size();
               double est = 0.0;
               if (aborted) {
                 s.mprobes.aborted_rounds->inc();
@@ -990,7 +852,8 @@ void launch_dpsgd_elastic(Session& s) {
               account_window(self, wm, t0, est, sync);
               if (!aborted && fn) {
                 // Uniform average over {self} u neighbors via sequential
-                // convex blends (running mean, weight 1/(k+2)).
+                // convex blends: blending packet k (0-based) with weight
+                // 1/(k+2) keeps a running mean.
                 for (std::size_t k = 0; k < received.size(); ++k) {
                   s.wl.blend_params(rank, received[k].tensors(),
                                     1.0f / static_cast<float>(k + 2));
@@ -1000,32 +863,15 @@ void launch_dpsgd_elastic(Session& s) {
 
             if (fn) s.wl.apply_gradients(rank, s.wl.gradients(rank), lr);
 
-            if (oracle.epoch() == e) ++rounds_in_epoch;
+            if (!repair || oracle->epoch() == e) ++rounds_in_epoch;
             wm.count_iteration(s.wl.batch_size());
             curve.maybe_record(self, it + 1, loss);
+            ck.maybe_snapshot(s, self, rank);
           }
-          s.mark_finished(rank, self.now());
+          // Under ring repair, leave the view (see launch_arsgd).
+          if (repair) s.mark_finished(rank, self.now());
         });
   }
-}
-
-}  // namespace
-
-void launch_arsgd(Session& s) {
-  if (ring_repair_active(s)) {
-    launch_arsgd_elastic(s);
-    return;
-  }
-  launch_arsgd_impl(s);
-}
-void launch_gosgd(Session& s) { launch_gosgd_impl(s); }
-void launch_adpsgd(Session& s) { launch_adpsgd_impl(s); }
-void launch_dpsgd(Session& s) {
-  if (ring_repair_active(s)) {
-    launch_dpsgd_elastic(s);
-    return;
-  }
-  launch_dpsgd_impl(s);
 }
 
 }  // namespace dt::core

@@ -27,7 +27,6 @@ enum Tag : int {
   kTagGossip = 8,       // GoSGD push (whole model + weight)
   kTagAdpsgdReq = 9,    // AD-PSGD active -> passive (whole model)
   kTagAdpsgdReply = 10, // AD-PSGD passive -> active (whole model)
-  kTagDpsgd = 11,       // D-PSGD ring exchange; +0/+1 by iteration parity
   kTagRejoin = 12,      // DSSP worker -> controller shard: fire-and-forget
                         // "I rebooted" note; restarts the rank's push-rate
                         // window in the staleness policy. No reply.
@@ -35,15 +34,16 @@ enum Tag : int {
                         // published (Packet.c = epoch). Synchronous PSes
                         // re-check their admission condition; others ignore.
   kTagBarrier = 100,    // +0/+1 reserved
-  kTagAllreduce = 200,  // +0/+1 per bucket pair; buckets use +2*b
-  // Elastic (view-aware) collectives tag regions. Each epoch gets a tag
-  // pair inside the region: tag = region + 2*(epoch % net::kEpochTagSpan)
-  // + phase, where phase is reduce-scatter/all-gather (AR-SGD) or the
-  // round parity (D-PSGD). Packets carry the *full* epoch in Packet.c so
-  // receivers can discard stale traffic even when epochs alias modulo the
-  // span (see net/collectives.hpp, flush_stale_epochs).
-  kTagElasticAllreduce = 300,
-  kTagElasticDpsgd = 400,
+  // Ring tag regions. Each membership epoch gets a tag pair inside the
+  // region: tag = region + 2*(epoch % net::kEpochTagSpan) + phase, where
+  // phase is reduce-scatter/all-gather (AR-SGD) or the round parity
+  // (D-PSGD); a static ring runs at epoch 0 for the whole run. Packets
+  // carry the *full* epoch in Packet.c so receivers can discard stale
+  // traffic even when epochs alias modulo the span (see
+  // net/collectives.hpp, flush_stale_epochs). AR-SGD's wait-free-BP
+  // buckets add +2*b to the epoch-0 pair (static ring only).
+  kTagAllreduce = 200,
+  kTagDpsgd = 300,
   // FSDP/ZeRO tag region. Each phase gets a +0/+1 pair indexed by the
   // iteration parity (a rank can be at most one iteration ahead of any
   // peer — closing round i needs every rank's round-i contribution — so

@@ -443,19 +443,78 @@ TEST(Network, StatsCountMessagesAndBytes) {
 
 // ---- collectives -----------------------------------------------------------
 
+/// Tag region of the ring tests. A guarded round runs at epoch 17, whose
+/// tag pair aliases epoch 1's modulo kEpochTagSpan, under a guard that never
+/// fires: it must behave exactly like the plain (static) ring.
+constexpr int kRingRegion = 300;
+constexpr std::int64_t kGuardedEpoch = 17;
+
+/// Outcome of one ring_allreduce over every rank.
+struct RingRun {
+  std::vector<std::vector<float>> data;  // per-rank buffers afterwards
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  int completed = 0;  // ranks whose round completed
+};
+
+/// Runs ring_allreduce over ranks r = 0..n-1 on machine r / per_machine,
+/// each reducing its `data[r]` (empty buffers: cost-only mode), plain or
+/// guarded.
+RingRun run_ring(std::vector<std::vector<float>> data, int per_machine,
+                 std::uint64_t total, bool guarded) {
+  const int n = static_cast<int>(data.size());
+  runtime::SimEngine engine;
+  ClusterSpec spec = two_machine_spec();
+  spec.num_machines = (n + per_machine - 1) / per_machine;
+  Network net(engine, spec);
+  std::vector<int> eps;
+  for (int r = 0; r < n; ++r) eps.push_back(net.add_endpoint(r / per_machine));
+
+  RingRun run;
+  for (int r = 0; r < n; ++r) {
+    engine.spawn("w" + std::to_string(r), [&, r](runtime::Process& self) {
+      net.bind(eps[static_cast<std::size_t>(r)], self);
+      Communicator comm{.net = &net, .endpoints = eps, .my_rank = r};
+      std::span<float> mine = data[static_cast<std::size_t>(r)];
+      ElasticStatus st;
+      if (guarded) {
+        const AbortGuard guard{1e-3, [] { return false; }};
+        st = ring_allreduce(self, comm, mine, total,
+                            epoch_tag_base(kRingRegion, kGuardedEpoch),
+                            kGuardedEpoch, &guard);
+      } else {
+        st = ring_allreduce(self, comm, mine, total, kRingRegion);
+      }
+      if (st.completed) ++run.completed;
+    });
+  }
+  engine.run();
+  run.data = std::move(data);
+  run.messages = net.stats().messages;
+  run.bytes = net.stats().bytes;
+  return run;
+}
+
+/// Runs the plain and the guarded ring and checks they agree exactly:
+/// buffers bit for bit, messages and bytes. Returns the plain run.
+RingRun run_ring_both_ways(const std::vector<std::vector<float>>& data,
+                           int per_machine, std::uint64_t total) {
+  RingRun plain = run_ring(data, per_machine, total, false);
+  const RingRun guarded = run_ring(data, per_machine, total, true);
+  const int n = static_cast<int>(data.size());
+  EXPECT_EQ(plain.completed, n);
+  EXPECT_EQ(guarded.completed, n);
+  EXPECT_EQ(guarded.data, plain.data) << "guarded sums deviate";
+  EXPECT_EQ(guarded.messages, plain.messages);
+  EXPECT_EQ(guarded.bytes, plain.bytes);
+  return plain;
+}
+
 class AllReduceProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(AllReduceProperty, MatchesSequentialSum) {
   const auto [n, len] = GetParam();
-  runtime::SimEngine engine;
-  ClusterSpec spec = two_machine_spec();
-  spec.num_machines = std::max(1, (n + 3) / 4);
-  Network net(engine, spec);
-
-  std::vector<int> eps;
-  for (int r = 0; r < n; ++r) eps.push_back(net.add_endpoint(r / 4));
-
   common::Rng rng(n * 100 + len);
   std::vector<std::vector<float>> data(static_cast<std::size_t>(n));
   std::vector<float> expected(static_cast<std::size_t>(len), 0.0f);
@@ -470,20 +529,12 @@ TEST_P(AllReduceProperty, MatchesSequentialSum) {
     }
   }
 
-  for (int r = 0; r < n; ++r) {
-    engine.spawn("w" + std::to_string(r), [&, r](runtime::Process& self) {
-      net.bind(eps[static_cast<std::size_t>(r)], self);
-      Communicator comm{.net = &net, .endpoints = eps, .my_rank = r};
-      ring_allreduce(self, comm, data[static_cast<std::size_t>(r)],
-                     static_cast<std::uint64_t>(len) * 4, 500);
-    });
-  }
-  engine.run();
-
+  const RingRun run =
+      run_ring_both_ways(data, 4, static_cast<std::uint64_t>(len) * 4);
   for (int r = 0; r < n; ++r) {
     for (int i = 0; i < len; ++i) {
       EXPECT_NEAR(
-          data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
+          run.data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
           expected[static_cast<std::size_t>(i)], 1e-4)
           << "rank " << r << " index " << i;
     }
@@ -594,25 +645,11 @@ TEST(Network, RandomTrafficConservesMessages) {
 
 TEST(RingAllReduce, CostOnlyModeMovesExpectedBytes) {
   const int n = 4;
-  runtime::SimEngine engine;
-  ClusterSpec spec = two_machine_spec();
-  spec.num_machines = 4;
-  Network net(engine, spec);
-  std::vector<int> eps;
-  for (int r = 0; r < n; ++r) eps.push_back(net.add_endpoint(r));
-
   const std::uint64_t total = 4096;
-  for (int r = 0; r < n; ++r) {
-    engine.spawn("w" + std::to_string(r), [&, r](runtime::Process& self) {
-      net.bind(eps[static_cast<std::size_t>(r)], self);
-      Communicator comm{.net = &net, .endpoints = eps, .my_rank = r};
-      std::span<float> empty;
-      ring_allreduce(self, comm, empty, total, 300);
-    });
-  }
-  engine.run();
+  const RingRun run = run_ring_both_ways(
+      std::vector<std::vector<float>>(static_cast<std::size_t>(n)), 1, total);
   // 2*(n-1) steps per rank, each total/n bytes.
-  EXPECT_EQ(net.stats().bytes,
+  EXPECT_EQ(run.bytes,
             static_cast<std::uint64_t>(n) * 2 * (n - 1) * (total / n));
 }
 
@@ -622,25 +659,65 @@ TEST(RingAllReduce, BillsExactBytesWhenRanksDoNotDivideTotal) {
   // lap. Every chunk index crosses the wire n-1 times per phase, so the
   // grand total is exactly 2*(n-1)*total.
   const int n = 4;
+  const std::uint64_t total = 4097;
+  const RingRun run = run_ring_both_ways(
+      std::vector<std::vector<float>>(static_cast<std::size_t>(n)), 1, total);
+  EXPECT_EQ(run.bytes, static_cast<std::uint64_t>(2) * (n - 1) * total);
+}
+
+TEST(RingAllReduce, AbortMidRoundLeavesChunksForTheFlush) {
+  // Epoch 3 of a 4-ring: rank 3 sends its first chunk and abandons the
+  // round at once (its guard has already fired), so rank 0 never gets a
+  // second chunk and the ring stalls until a new view is published at
+  // t = 0.5, which fires the other guards. Chunks addressed to rank 3
+  // after it left stay parked on its epoch-3 tags; after the publication
+  // every rank flushes everything but the epoch-4 pair.
+  const int n = 4;
+  const std::int64_t epoch = 3;
   runtime::SimEngine engine;
   ClusterSpec spec = two_machine_spec();
-  spec.num_machines = 4;
+  spec.num_machines = n;
   Network net(engine, spec);
   std::vector<int> eps;
   for (int r = 0; r < n; ++r) eps.push_back(net.add_endpoint(r));
 
-  const std::uint64_t total = 4097;
+  bool view_changed = false;
+  engine.spawn("detector", [&](runtime::Process& self) {
+    self.advance(0.5);
+    view_changed = true;
+  });
+  std::vector<int> completed(n, -1);
+  std::vector<int> flushed(n, -1);
+  std::vector<int> left_over(n, -1);
   for (int r = 0; r < n; ++r) {
     engine.spawn("w" + std::to_string(r), [&, r](runtime::Process& self) {
-      net.bind(eps[static_cast<std::size_t>(r)], self);
+      const int ep = eps[static_cast<std::size_t>(r)];
+      net.bind(ep, self);
       Communicator comm{.net = &net, .endpoints = eps, .my_rank = r};
-      std::span<float> empty;
-      ring_allreduce(self, comm, empty, total, 300);
+      const AbortGuard guard{
+          0.01, [&, r] { return r == n - 1 || view_changed; }};
+      std::vector<float> data(8, 1.0f);
+      const ElasticStatus st =
+          ring_allreduce(self, comm, data, 32,
+                         epoch_tag_base(kRingRegion, epoch), epoch, &guard);
+      completed[static_cast<std::size_t>(r)] = st.completed ? 1 : 0;
+      self.advance(1.0);  // everything sent in epoch 3 has landed
+      flushed[static_cast<std::size_t>(r)] =
+          flush_stale_epochs(self, net, ep, kRingRegion, epoch + 1);
+      left_over[static_cast<std::size_t>(r)] =
+          flush_stale_epochs(self, net, ep, kRingRegion, epoch + 1);
     });
   }
   engine.run();
-  EXPECT_EQ(net.stats().bytes,
-            static_cast<std::uint64_t>(2) * (n - 1) * total);
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(completed[static_cast<std::size_t>(r)], 0) << "rank " << r;
+    EXPECT_EQ(left_over[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  }
+  // Rank 2 got through its Reduce-Scatter (three chunks to rank 3) and
+  // sent its first All-Gather chunk before stalling; the survivors
+  // consumed every chunk that reached them.
+  EXPECT_EQ(flushed[3], 4);
+  EXPECT_EQ(flushed[0] + flushed[1] + flushed[2], 0);
 }
 
 }  // namespace
