@@ -6,7 +6,9 @@
 // perturb a healthy run. The *_traced fixtures pin every observer
 // output — Chrome trace, time-series CSV, metrics JSONL, profiler span log
 // and profiler trace — so the export path can be rewritten without
-// changing a byte. The GoldenPsProtocol fixtures pin ASP, SSP, DSSP and
+// changing a byte, and TraceOnlyAndProfileOnlyRunsWriteTheBothOnBytes
+// holds a run with only the trace or only the profiler on to the bytes of
+// the both-on run. The GoldenPsProtocol fixtures pin ASP, SSP, DSSP and
 // EASGD the same way (digests only), fault-free, under worker faults and
 // over a lossy replicated PS with a primary failover, so the plain and
 // reliable parameter-server paths cannot drift. The ring fixtures pin
@@ -24,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -277,6 +280,67 @@ TEST(Golden, TracedLossyReplicatedPsRunObserverOutputsAreByteIdentical) {
   TrainConfig cfg = traced_fixture_config(Algo::bsp);
   add_lossy_replicated_ps(cfg, 4.0);
   expect_observers_match_golden(cfg, "ps_lossy_traced");
+}
+
+/// Runs `cfg` on the fixture workload with the CSV and JSONL on, plus the
+/// Chrome trace when `trace` is set and the profiler's span log and trace
+/// when `profile` is; returns the bytes of each written file by suffix.
+std::map<std::string, std::string> observer_outputs(TrainConfig cfg,
+                                                    const std::string& stem,
+                                                    bool trace, bool profile) {
+  Workload wl = fixture_workload();
+  const std::string tmp = "/tmp/dtrainlib_golden_split_" + stem;
+  std::map<std::string, std::string*> paths{
+      {"csv", &cfg.timeseries_csv}, {"jsonl", &cfg.metrics_jsonl}};
+  if (trace) paths["chrome.json"] = &cfg.trace_path;
+  if (profile) {
+    paths["spans.jsonl"] = &cfg.profile_spans_jsonl;
+    paths["profile.json"] = &cfg.profile_trace;
+  }
+  for (const auto& [suffix, path] : paths) *path = tmp + "." + suffix;
+  (void)run_training(cfg, wl);
+  std::map<std::string, std::string> out;
+  for (const auto& [suffix, path] : paths) {
+    out[suffix] = slurp(*path);
+    std::remove(path->c_str());
+  }
+  return out;
+}
+
+TEST(Golden, TraceOnlyAndProfileOnlyRunsWriteTheBothOnBytes) {
+  // The *_traced fixtures run with the trace and the profiler both on. A
+  // run with only one of them must write the same bytes for each file it
+  // writes. bsp_traced carries fault slices and crash instants,
+  // ps_lossy_traced lost flows, and arsgd_faults_traced the recover flows
+  // of the rebooted rank's state pull.
+  struct Case {
+    const char* stem;
+    Algo algo;
+    const char* flow;  // a flow-name prefix the trace must hold
+  };
+  for (const Case& c : {Case{"bsp_traced", Algo::bsp, "worker0->ps"},
+                        Case{"ps_lossy_traced", Algo::bsp, "lost "},
+                        Case{"arsgd_faults_traced", Algo::arsgd, "recover "}}) {
+    const std::string stem = c.stem;
+    TrainConfig cfg = traced_fixture_config(c.algo);
+    if (stem == "ps_lossy_traced") {
+      add_lossy_replicated_ps(cfg, 4.0);
+    } else {
+      add_worker_faults(cfg);
+    }
+    const auto both = observer_outputs(cfg, stem, true, true);
+    ASSERT_EQ(both.size(), 5u);
+    EXPECT_NE(both.at("chrome.json").find(c.flow), std::string::npos) << stem;
+    for (const bool trace : {true, false}) {
+      const auto part = observer_outputs(cfg, stem, trace, !trace);
+      EXPECT_EQ(part.size(), trace ? 3u : 4u);
+      for (const auto& [suffix, bytes] : part) {
+        EXPECT_EQ(bytes, both.at(suffix))
+            << stem << "." << suffix << " with only the "
+            << (trace ? "trace" : "profiler") << " on";
+      }
+    }
+  }
 }
 
 /// The parameter-server protocols other than BSP, each pinned fault-free,
