@@ -46,13 +46,15 @@
 #                                    # label `observers` (test_metrics —
 #                                    # incl. the number-memo equivalence
 #                                    # tests, test_registry,
-#                                    # test_observability — incl. the
-#                                    # network's cached flow ids,
+#                                    # test_observability — incl. flows
+#                                    # expanded from the edge log,
 #                                    # test_profile — the critical-path
 #                                    # analyzer's hand-indexed rows and its
-#                                    # differential test) plus test_golden
+#                                    # differential test), test_golden
 #                                    # (byte pins of the trace, CSV, JSONL
-#                                    # and profiler outputs), under
+#                                    # and profiler outputs) and a
+#                                    # trace-only dtrain run over lossy
+#                                    # links (one flow per message), under
 #                                    # AddressSanitizer +
 #                                    # UndefinedBehaviorSanitizer
 #
@@ -151,9 +153,10 @@ fi
 if [[ "$SANITIZER" == "observers" ]]; then
   # Observer-export smoke: the string interner hands out string_view keys
   # into its table, the exporters write through a hand-managed chunk
-  # buffer (number memos copy fixed-size text into it), the network caches
-  # interned flow ids per trace, and the critical-path analyzer walks
-  # hand-indexed CSR rows — exactly what ASan and UBSan catch. Own tree, since no other
+  # buffer (number memos copy fixed-size text into it), the trace's flows
+  # are expanded from the edge log by endpoint index, and the critical-path
+  # analyzer walks hand-indexed CSR rows — exactly what ASan and UBSan
+  # catch. Own tree, since no other
   # mode combines the two sanitizers. The flags go in CMAKE_CXX_FLAGS, not
   # DT_SANITIZE: DT_SANITIZE also drops the tensor kernels' native -O3/FMA
   # build, which changes float rounding, and test_golden's parameter hashes
@@ -165,10 +168,52 @@ if [[ "$SANITIZER" == "observers" ]]; then
     "-DCMAKE_EXE_LINKER_FLAGS=$SAN"
   cmake --build "$DIR" -j "$(nproc)" \
     --target test_metrics test_registry test_observability test_profile \
-    test_golden
+    test_golden dtrain
   ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" \
     -L observers
   "$DIR/tests/test_golden"
+  # A trace-only run (profiler off) over lossy, duplicating links: the edge
+  # log is attached for the trace alone, and every message on the wire —
+  # lost, duplicated or recovered — has exactly one flow pair.
+  TMP="$(mktemp -d)"
+  trap 'rm -rf "$TMP"' EXIT
+  cat > "$TMP/trace_only.ini" <<'INI'
+[experiment]
+algorithm = bsp
+mode = throughput
+workers = 8
+iterations = 6
+seed = 7
+
+[cluster]
+workers_per_machine = 2
+
+[optimizations]
+ps_shards_per_machine = 1
+
+[failures]
+loss_prob = 0.05
+dup_prob = 0.05
+reorder_prob = 0.1
+reorder_window = 0.002
+
+[reliability]
+replicate_ps = true
+
+[output]
+trace = run.trace.json
+metrics_jsonl = run.jsonl
+INI
+  (cd "$TMP" && "$OLDPWD/$DIR/examples/dtrain" trace_only.ini > /dev/null)
+  FLOWS="$(grep -o '"ph":"s"' "$TMP/run.trace.json" | wc -l)"
+  MESSAGES="$(awk -F'"value":' '/"name":"net.messages_total"/ {
+    split($2, v, /[,}]/); total += v[1] } END { print total }' \
+    "$TMP/run.jsonl")"
+  echo "trace-only run: $FLOWS flows, $MESSAGES messages"
+  if [[ "$FLOWS" -eq 0 || "$FLOWS" -ne "$MESSAGES" ]]; then
+    echo "observers: flow count differs from net.messages_total" >&2
+    exit 1
+  fi
   exit 0
 fi
 

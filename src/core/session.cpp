@@ -505,6 +505,9 @@ metrics::RunResult Session::run() {
     oracle_->set_probes(mprobes);
   }
 
+  if (!cfg.trace_path.empty() || cfg.profiling_enabled()) {
+    network->set_edges(&edges_);
+  }
   if (!cfg.trace_path.empty()) {
     trace_ = std::make_unique<metrics::TraceLog>();
     network->set_trace(trace_.get());
@@ -533,8 +536,7 @@ metrics::RunResult Session::run() {
     // Capture only: spans/edges are recorded on the simulated threads (one
     // at a time), never read during the run, and change no simulated
     // behavior — profiled runs stay byte-identical with unprofiled ones.
-    spans_ = std::make_unique<profile::SpanLog>();
-    network->set_spans(spans_.get());
+    spans_ = std::make_unique<profile::SpanLog>(edges_);
     for (int r = 0; r < cfg.num_workers; ++r) {
       wmetrics[static_cast<std::size_t>(r)].set_spans(spans_.get(), r);
     }
@@ -636,7 +638,13 @@ metrics::RunResult Session::run() {
   }
   result.metrics = registry.snapshot();
   if (!cfg.metrics_jsonl.empty()) registry.save_jsonl(cfg.metrics_jsonl);
-  if (trace_) trace_->save(cfg.trace_path, sampler_.get());
+  if (trace_) {
+    std::vector<metrics::TraceLog::Id> endpoint_tracks;
+    for (int ep = 0; ep < network->num_endpoints(); ++ep) {
+      endpoint_tracks.push_back(trace_->intern(network->endpoint_name(ep)));
+    }
+    trace_->save(cfg.trace_path, sampler_.get(), {&edges_, &endpoint_tracks});
+  }
   std::sort(result.curve.begin(), result.curve.end(),
             [](const metrics::CurvePoint& a, const metrics::CurvePoint& b) {
               return a.epoch < b.epoch;

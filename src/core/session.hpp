@@ -91,8 +91,8 @@ class Session {
   [[nodiscard]] metrics::TraceLog* trace() noexcept { return trace_.get(); }
 
   /// Profiler span log (nullptr unless cfg.profiling_enabled()). Filled
-  /// during the run through the SpanSink hooks; analyzed into
-  /// RunResult::profile afterwards.
+  /// during the run through the SpanSink hooks, reads its message edges
+  /// from the run's edge log; analyzed into RunResult::profile afterwards.
   [[nodiscard]] profile::SpanLog* spans() noexcept { return spans_.get(); }
 
   // ---- helpers -----------------------------------------------------------
@@ -245,6 +245,9 @@ class Session {
                             // (kTagViewChange source; centralized only)
   std::unique_ptr<metrics::TraceLog> trace_;
   std::unique_ptr<metrics::TimeSeriesSampler> sampler_;
+  // One edge per delivered message, recorded when the run traces or
+  // profiles: the trace's flows and the span log's edges.
+  metrics::EdgeLog edges_;
   std::unique_ptr<profile::SpanLog> spans_;
 };
 

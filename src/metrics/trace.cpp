@@ -4,6 +4,7 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -14,28 +15,37 @@ namespace dt::metrics {
 
 namespace {
 
-/// Fails unless `series` holds every row the markers name.
-void check_series(const std::vector<TraceLog::SeriesRow>& rows,
-                  const TimeSeriesSampler* series) {
-  if (rows.empty()) return;
-  common::check(series != nullptr,
-                "TraceLog: the trace holds sampled series rows but no "
-                "TimeSeriesSampler was given to export them");
-  common::check(rows.back().row < series->num_rows(),
-                "TraceLog: a series row lies beyond the given "
-                "TimeSeriesSampler's table");
+/// Fails unless `series` holds every row the markers name, and `flows`
+/// the edges the lost flows are placed among and the edges' tracks.
+void check_sources(const std::vector<TraceLog::SeriesRow>& rows,
+                   const TimeSeriesSampler* series,
+                   const std::vector<TraceLog::LostFlow>& lost,
+                   const EdgeFlows& flows) {
+  if (!rows.empty()) {
+    common::check(series != nullptr,
+                  "TraceLog: the trace holds sampled series rows but no "
+                  "TimeSeriesSampler was given to export them");
+    common::check(rows.back().row < series->num_rows(),
+                  "TraceLog: a series row lies beyond the given "
+                  "TimeSeriesSampler's table");
+  }
+  common::check(lost.empty() || (flows.edges != nullptr &&
+                                 lost.back().at <= flows.edges->size()),
+                "TraceLog: a lost flow lies beyond the given edge log");
+  common::check(flows.edges == nullptr || flows.tracks != nullptr,
+                "TraceLog: an edge log was given without endpoint tracks");
 }
 
-/// Visits the counter stream in recording order: every series-row marker
-/// just before the single counter it was recorded ahead of.
-template <typename Single, typename Row>
-void walk_counters(const std::vector<TraceLog::CounterEvent>& singles,
-                   const std::vector<TraceLog::SeriesRow>& rows,
-                   Single&& single, Row&& row) {
+/// Visits `items` in recording order with each of `marks` (sorted by
+/// `at`) just before the item it was recorded ahead of: the series rows
+/// among the single counters, the lost flows among the edges.
+template <typename Item, typename Mark, typename OnItem, typename OnMark>
+void interleave(const std::vector<Item>& items, const std::vector<Mark>& marks,
+                OnItem&& on_item, OnMark&& on_mark) {
   std::size_t m = 0;
-  for (std::size_t i = 0; i <= singles.size(); ++i) {
-    for (; m < rows.size() && rows[m].at == i; ++m) row(rows[m]);
-    if (i < singles.size()) single(singles[i]);
+  for (std::size_t i = 0; i <= items.size(); ++i) {
+    for (; m < marks.size() && marks[m].at == i; ++m) on_mark(marks[m]);
+    if (i < items.size()) on_item(items[i]);
   }
 }
 
@@ -54,16 +64,33 @@ void TraceLog::record(Id track, Id name, double start, double end) {
   events_.push_back(Event{track, name, start, end});
 }
 
-void TraceLog::flow(Id src_track, Id dst_track, Id name, double sent,
-                    double arrival, std::uint64_t id) {
+void TraceLog::flow(std::string_view src_track, std::string_view dst_track,
+                    std::string_view name, double sent, double arrival,
+                    std::uint64_t id) {
   common::check(arrival >= sent, "TraceLog: flow arrives before it is sent");
-  flow_events_.push_back(
-      FlowEvent{src_track, dst_track, name, sent, arrival, id});
+  const Id src = intern(src_track);
+  const Id dst = intern(dst_track);
+  flow_events_.push_back(FlowEvent{src, dst, intern(name), sent, arrival, id});
+}
+
+void TraceLog::lost_flow(int src_ep, int dst_ep, std::uint64_t bytes,
+                         double sent, double arrival, std::size_t at) {
+  common::check(arrival >= sent, "TraceLog: flow arrives before it is sent");
+  lost_flows_.push_back(LostFlow{at, src_ep, dst_ep, bytes, sent, arrival});
 }
 
 void TraceLog::write_chrome_json(std::ostream& os,
-                                 const TimeSeriesSampler* series) const {
-  check_series(series_rows_, series);
+                                 const TimeSeriesSampler* series,
+                                 const EdgeFlows& flows) const {
+  check_sources(series_rows_, series, lost_flows_, flows);
+  const EdgeLog no_edges;
+  const EdgeLog& edges = flows.edges != nullptr ? *flows.edges : no_edges;
+  // The track ids of an edge's or a lost flow's endpoints.
+  auto ends = [&flows](const auto& e) {
+    return std::pair{flows.tracks->at(static_cast<std::size_t>(e.src)),
+                     flows.tracks->at(static_cast<std::size_t>(e.dst))};
+  };
+
   // Tids by first appearance in scan order (see the header).
   std::vector<int> tid(strings_.size(), -1);
   std::vector<Id> tracks;
@@ -74,7 +101,7 @@ void TraceLog::write_chrome_json(std::ostream& os,
     }
   };
   for (const Event& e : events_) see(e.track);
-  walk_counters(
+  interleave(
       counter_events_, series_rows_,
       [&see](const CounterEvent& e) { see(e.track); },
       [&see, series](const SeriesRow& r) {
@@ -84,6 +111,12 @@ void TraceLog::write_chrome_json(std::ostream& os,
     see(e.src_track);
     see(e.dst_track);
   }
+  auto see_ends = [&see, &ends](const auto& e) {
+    const auto [src, dst] = ends(e);
+    see(src);
+    see(dst);
+  };
+  interleave(edges, lost_flows_, see_ends, see_ends);
   for (const InstantEvent& e : instant_events_) see(e.track);
   std::sort(tracks.begin(), tracks.end(),
             [this](Id a, Id b) { return strings_[a] < strings_[b]; });
@@ -155,7 +188,7 @@ void TraceLog::write_chrome_json(std::ostream& os,
     column_value.resize(column_text.size());
     cursor.emplace(*series);
   }
-  walk_counters(
+  interleave(
       counter_events_, series_rows_,
       [&](const CounterEvent& e) {
         counter(e.track, text[e.name], e.t, e.value, counter_value[e.name]);
@@ -174,36 +207,60 @@ void TraceLog::write_chrome_json(std::ostream& os,
     w.number(e.t * 1e6);
     w.put('}');
   }
+  // One "s"/"f" pair; put_name appends the name after head's empty one.
+  auto flow = [&](Id src, Id dst, auto&& put_name, std::uint64_t id,
+                  double sent, double arrival) {
+    for (const bool start : {true, false}) {
+      head(start ? R"({"ph":"s","cat":"net","pid":0,"tid":)"
+                 : R"({"ph":"f","bp":"e","cat":"net","pid":0,"tid":)",
+           start ? src : dst, "");
+      put_name();
+      w.put(R"(","id":)");
+      w.integer(id);
+      w.put(R"(,"ts":)");
+      w.number((start ? sent : arrival) * 1e6);
+      w.put('}');
+    }
+  };
   for (const FlowEvent& e : flow_events_) {
-    head(R"({"ph":"s","cat":"net","pid":0,"tid":)", e.src_track,
-         text[e.name]);
-    w.put(R"(","id":)");
-    w.integer(e.id);
-    w.put(R"(,"ts":)");
-    w.number(e.sent * 1e6);
-    w.put('}');
-    head(R"({"ph":"f","bp":"e","cat":"net","pid":0,"tid":)", e.dst_track,
-         text[e.name]);
-    w.put(R"(","id":)");
-    w.integer(e.id);
-    w.put(R"(,"ts":)");
-    w.number(e.arrival * 1e6);
-    w.put('}');
+    flow(e.src_track, e.dst_track, [&] { w.put(text[e.name]); }, e.id, e.sent,
+         e.arrival);
   }
+  std::uint64_t id = flows.by_bytes ? 0 : 1;
+  auto edge_flow = [&](const auto& e, std::string_view prefix) {
+    const auto [src, dst] = ends(e);
+    flow(src, dst, [&] {
+      if (flows.by_bytes) {
+        w.integer(e.bytes);
+        w.put('B');
+      } else {
+        w.put(prefix);
+        w.put(text[src]);
+        w.put("->");
+        w.put(text[dst]);
+      }
+    }, id++, e.sent, e.arrival);
+  };
+  interleave(
+      edges, lost_flows_,
+      [&edge_flow](const MessageEdge& e) {
+        edge_flow(e, e.kind == EdgeKind::recover ? "recover " : "");
+      },
+      [&edge_flow](const LostFlow& f) { edge_flow(f, "lost "); });
   w.put("\n]\n");
   w.flush();
   common::check(os.good(), "TraceLog: stream write failed");
 }
 
-void TraceLog::save(const std::string& path,
-                    const TimeSeriesSampler* series) const {
-  check_series(series_rows_, series);
+void TraceLog::save(const std::string& path, const TimeSeriesSampler* series,
+                    const EdgeFlows& flows) const {
+  check_sources(series_rows_, series, lost_flows_, flows);
   std::ofstream out(path);
   if (!out.good()) {
     common::log_error("TraceLog: cannot open ", path);
     common::fail("TraceLog: cannot open " + path);
   }
-  write_chrome_json(out, series);
+  write_chrome_json(out, series, flows);
   out.flush();
   if (!out.good()) common::fail("TraceLog: write failed for " + path);
 }

@@ -19,18 +19,20 @@
 //   - flow events ("s"/"f"): one arrow per network message from the send on
 //     the source endpoint's track to its delivery on the destination's —
 //     this is what makes staleness and convoy effects *visible* (e.g. every
-//     gradient push crossing a barrier round boundary).
+//     gradient push crossing a barrier round boundary). The export expands
+//     a run's flows from its edge log (metrics/span_sink.hpp); the log
+//     holds only lost messages, each with a marker into the edge stream.
 //
 // Cost: a log keeps one table of the distinct strings it has seen (track
 // names, event names) and stores every event as a plain record of 32-bit
 // string ids plus doubles. The string-taking record/counter/instant/flow
 // calls look their strings up by std::string_view, so a name the log
-// already knows costs a hash and no allocation; callers on a per-message
-// path intern() once and pass ids (net::Network caches its flow ids per
-// endpoint pair). write_chrome_json streams through a bounded
+// already knows costs a hash and no allocation; PhaseTimer and the sampler
+// intern() once and pass ids. write_chrome_json streams through a bounded
 // metrics::ChunkWriter buffer (metrics/writer.hpp), escapes each distinct
-// string once, and formats a counter timestamp or a counter series' value
-// only when it differs from the previous one.
+// string once (an edge's flow name is written from its endpoints' escaped
+// names), and formats a counter timestamp or a counter series' value only
+// when it differs from the previous one.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +44,21 @@
 #include <unordered_map>
 #include <vector>
 
+#include "metrics/span_sink.hpp"
+
 namespace dt::metrics {
 
 class TimeSeriesSampler;
+
+/// What a TraceLog export expands flows from: one "s"/"f" pair per edge
+/// and per lost flow, in recording order, between endpoints' tracks.
+struct EdgeFlows {
+  const EdgeLog* edges = nullptr;
+  const std::vector<std::uint32_t>* tracks = nullptr;  // TraceLog::Ids
+  /// Names flows "<bytes>B" with ids from 0 (the profiler's trace) instead
+  /// of "<prefix><src>-><dst>" from 1, prefixed "", "recover " or "lost ".
+  bool by_bytes = false;
+};
 
 class TraceLog {
  public:
@@ -90,13 +104,12 @@ class TraceLog {
   /// ends; use a fresh id per message.
   void flow(std::string_view src_track, std::string_view dst_track,
             std::string_view name, double sent, double arrival,
-            std::uint64_t id) {
-    const Id src = intern(src_track);
-    const Id dst = intern(dst_track);
-    flow(src, dst, intern(name), sent, arrival, id);
-  }
-  void flow(Id src_track, Id dst_track, Id name, double sent, double arrival,
             std::uint64_t id);
+
+  /// Records a message lost between endpoints, placed before edge `at` of
+  /// the run's edge log; exported as the flow "lost <src>-><dst>".
+  void lost_flow(int src_ep, int dst_ep, std::uint64_t bytes, double sent,
+                 double arrival, std::size_t at);
 
   /// Names the (single) trace process — emitted as a "process_name"
   /// metadata event so Perfetto's track group shows e.g. "dtrain bsp"
@@ -108,10 +121,10 @@ class TraceLog {
   }
 
   /// Total records (slices + single counters + series-row markers + flows
-  /// + instants).
+  /// + lost flows + instants).
   [[nodiscard]] std::size_t size() const noexcept {
     return events_.size() + counter_events_.size() + series_rows_.size() +
-           flow_events_.size() + instant_events_.size();
+           flow_events_.size() + lost_flows_.size() + instant_events_.size();
   }
 
   /// Chrome-tracing JSON array; pid 0, timestamps in µs. Each distinct
@@ -122,22 +135,24 @@ class TraceLog {
   /// "thread_name" metadata events sorted by track name, then slices,
   /// counters, instants and flow pairs.
   ///
-  /// `series` is the sampler whose rows were recorded by series_row(): the
-  /// log keeps no pointer to it, so the caller hands over the table that
-  /// must still be alive. Each marker expands, in its place among the
+  /// `series` is the sampler whose rows were recorded by series_row(), and
+  /// `flows` the edge log the lost flows were placed in: the log keeps no
+  /// pointer to either. Each series marker expands, in its place among the
   /// single counters, into one counter per column of its row (none for a
   /// row without columns), walking the table with one
-  /// TimeSeriesSampler::Cursor. Throws common::Error when markers were
-  /// recorded but `series` is null or lacks their rows, or if the stream
-  /// fails.
+  /// TimeSeriesSampler::Cursor. Throws common::Error when `series` or
+  /// `flows` lacks what a marker or a lost flow names or if the stream
+  /// fails, std::out_of_range when an edge's endpoint has no track.
   void write_chrome_json(std::ostream& os,
-                         const TimeSeriesSampler* series = nullptr) const;
+                         const TimeSeriesSampler* series = nullptr,
+                         const EdgeFlows& flows = {}) const;
 
   /// Convenience: writes the JSON to `path` (overwrites). Throws with the
   /// path in the message when the file cannot be opened or written, and,
-  /// before opening it, on a missing `series` as write_chrome_json does.
-  void save(const std::string& path,
-            const TimeSeriesSampler* series = nullptr) const;
+  /// before opening it, on a missing `series` or `flows` as
+  /// write_chrome_json does.
+  void save(const std::string& path, const TimeSeriesSampler* series = nullptr,
+            const EdgeFlows& flows = {}) const;
 
   // Recorded events; names and tracks are ids for str().
   struct Event {
@@ -167,6 +182,13 @@ class TraceLog {
     double arrival;
     std::uint64_t id;
   };
+  /// A lost message, placed before edge `at` of the edge log.
+  struct LostFlow {
+    std::size_t at;
+    int src, dst;  // endpoint ids
+    std::uint64_t bytes;
+    double sent, arrival;
+  };
   struct InstantEvent {
     Id track;
     Id name;
@@ -185,6 +207,9 @@ class TraceLog {
   [[nodiscard]] const std::vector<FlowEvent>& flow_events() const noexcept {
     return flow_events_;
   }
+  [[nodiscard]] const std::vector<LostFlow>& lost_flows() const noexcept {
+    return lost_flows_;
+  }
   [[nodiscard]] const std::vector<InstantEvent>& instant_events()
       const noexcept {
     return instant_events_;
@@ -200,6 +225,7 @@ class TraceLog {
   std::vector<CounterEvent> counter_events_;
   std::vector<SeriesRow> series_rows_;
   std::vector<FlowEvent> flow_events_;
+  std::vector<LostFlow> lost_flows_;
   std::vector<InstantEvent> instant_events_;
 };
 

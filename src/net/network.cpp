@@ -183,7 +183,8 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   if (lost) {
     if (ctr_lost_ != nullptr) ctr_lost_->inc();
     if (trace_ != nullptr) {
-      trace_flow(FlowKind::lost, src_endpoint, dst_endpoint, now, arrival);
+      trace_->lost_flow(src_endpoint, dst_endpoint, pkt.wire_bytes, now,
+                        arrival, edges_ == nullptr ? 0 : edges_->size());
     }
     return;
   }
@@ -196,12 +197,9 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
 
   const auto enqueue = [&](Packet p, double arr) {
     if (in_flight_ != nullptr) in_flight_->add(1.0);
-    if (spans_ != nullptr) {
-      spans_->on_edge(src_endpoint, dst_endpoint, p.wire_bytes, now, arr,
-                      src_machine != dst_machine);
-    }
-    if (trace_ != nullptr) {
-      trace_flow(FlowKind::delivered, src_endpoint, dst_endpoint, now, arr);
+    if (edges_ != nullptr) {
+      edges_->push_back({src_endpoint, dst_endpoint, p.wire_bytes, now, arr,
+                         src_machine != dst_machine});
     }
     p.src_endpoint = src_endpoint;
     p.sent_at = now;
@@ -220,25 +218,6 @@ void Network::send(runtime::Process& self, int src_endpoint, int dst_endpoint,
   }
 }
 
-void Network::trace_flow(FlowKind kind, int src_endpoint, int dst_endpoint,
-                         double sent, double arrival) {
-  const auto key = static_cast<std::uint64_t>(kind) << 62 |
-                   static_cast<std::uint64_t>(src_endpoint) << 31 |
-                   static_cast<std::uint64_t>(dst_endpoint);
-  auto [it, added] = flow_ids_.try_emplace(key);
-  if (added) {
-    static constexpr const char* kPrefix[] = {"", "lost ", "recover "};
-    const std::string& src = endpoint_name(src_endpoint);
-    const std::string& dst = endpoint_name(dst_endpoint);
-    it->second = {trace_->intern(src), trace_->intern(dst),
-                  trace_->intern(kPrefix[static_cast<int>(kind)] + src +
-                                 "->" + dst)};
-  }
-  const FlowIds& ids = it->second;
-  trace_->flow(ids.src_track, ids.dst_track, ids.name, sent, arrival,
-               ++flow_seq_);
-}
-
 std::size_t Network::drain(int endpoint_id) {
   (void)endpoint(endpoint_id);  // validates the id
   const std::size_t dropped = mailboxes_.clear(endpoint_id);
@@ -255,12 +234,9 @@ void Network::transfer(runtime::Process& self, int src_endpoint,
   if (spec_.send_overhead > 0.0) self.advance(spec_.send_overhead);
   const double now = engine_.now();
   const double arrival = model_transfer(src_machine, dst_machine, bytes, now);
-  if (spans_ != nullptr) {
-    spans_->on_edge(src_endpoint, dst_endpoint, bytes, now, arrival,
-                    src_machine != dst_machine);
-  }
-  if (trace_ != nullptr) {
-    trace_flow(FlowKind::recover, src_endpoint, dst_endpoint, now, arrival);
+  if (edges_ != nullptr) {
+    edges_->push_back({src_endpoint, dst_endpoint, bytes, now, arrival,
+                       src_machine != dst_machine, metrics::EdgeKind::recover});
   }
   if (arrival > now) self.advance(arrival - now);
 }

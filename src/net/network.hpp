@@ -25,7 +25,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "faults/faults.hpp"
@@ -114,17 +113,11 @@ class Network {
   /// here once, so the per-send cost is a few pointer bumps.
   void set_metrics(metrics::MetricRegistry* registry);
 
-  /// Attaches a trace: every send records a flow event from the source
-  /// endpoint's track to the destination's (arrows in Perfetto).
-  void set_trace(metrics::TraceLog* trace) {
-    trace_ = trace;
-    flow_ids_.clear();  // ids belong to the previous log
-  }
-
-  /// Attaches a profiler span sink: every delivered message (send and bulk
-  /// transfer; duplicates too, lost packets not) is recorded as a message
-  /// edge for the critical-path analyzer. Attached only for profiled runs.
-  void set_spans(metrics::SpanSink* spans) noexcept { spans_ = spans; }
+  /// Attaches the edge log: each delivered message (a duplicate twice) and
+  /// bulk transfer appends one edge; a lost packet none.
+  void set_edges(metrics::EdgeLog* edges) noexcept { edges_ = edges; }
+  /// Attaches a trace: records each lost message as a lost flow.
+  void set_trace(metrics::TraceLog* trace) noexcept { trace_ = trace; }
 
   /// Attaches a fault plan: sends whose virtual time falls inside a link
   /// degradation window of either endpoint's machine see their bandwidth
@@ -192,30 +185,15 @@ class Network {
   double model_transfer(int src_machine, int dst_machine,
                         std::uint64_t wire_bytes, double now);
 
-  /// What a traced flow is; its name is "<prefix><src>-><dst>" with the
-  /// kind's prefix ("", "lost ", "recover ").
-  enum class FlowKind : std::uint64_t { delivered, lost, recover };
-
-  /// Records one flow on the trace. The (source track, destination track,
-  /// name) ids are interned once per (kind, src, dst) and cached, so a
-  /// known triple costs one hash lookup.
-  void trace_flow(FlowKind kind, int src_endpoint, int dst_endpoint,
-                  double sent, double arrival);
-
   // Observability sinks (optional; resolved once in set_metrics).
   metrics::TraceLog* trace_ = nullptr;
-  metrics::SpanSink* spans_ = nullptr;
+  metrics::EdgeLog* edges_ = nullptr;
   const faults::FaultPlan* faults_ = nullptr;
   bool msg_faults_on_ = false;
   common::Rng msg_rng_;  // dedicated message-fault stream (set_faults)
   metrics::Counter* ctr_degraded_ = nullptr;
   metrics::Counter* ctr_lost_ = nullptr;
   metrics::Counter* ctr_reordered_ = nullptr;
-  std::uint64_t flow_seq_ = 0;
-  struct FlowIds {
-    std::uint32_t src_track, dst_track, name;  // metrics::TraceLog::Id
-  };
-  std::unordered_map<std::uint64_t, FlowIds> flow_ids_;  // by trace_flow key
   metrics::Counter* ctr_bytes_inter_ = nullptr;
   metrics::Counter* ctr_bytes_intra_ = nullptr;
   metrics::Counter* ctr_msgs_inter_ = nullptr;

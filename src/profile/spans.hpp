@@ -9,11 +9,13 @@
 //   - message edges: every delivered network message or bulk transfer
 //     (src endpoint, dst endpoint, bytes, send time, arrival time).
 //
-// Captured behind the `profile` knob through metrics::SpanSink, so all
-// algorithms and PS shards emit spans with no per-algorithm code. The log
-// is filled on the simulated threads (one at a time — the runtime
-// serializes processes), in deterministic order, so its serialized forms
-// are byte-identical across hosts and compute_threads settings.
+// Spans are captured behind the `profile` knob through metrics::SpanSink,
+// so all algorithms and PS shards emit spans with no per-algorithm code;
+// edges are read from the run's metrics::EdgeLog, which the Chrome trace
+// expands its flows from too. Both are filled on the simulated threads
+// (one at a time — the runtime serializes processes), in deterministic
+// order, so the serialized forms are byte-identical across hosts and
+// compute_threads settings.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +42,7 @@ struct Span {
   double end = 0.0;
 };
 
-struct MessageEdge {
-  int src = 0;              // network endpoint ids
-  int dst = 0;
-  std::uint64_t bytes = 0;  // wire bytes
-  double sent = 0.0;        // virtual send time (after send overhead)
-  double arrival = 0.0;     // virtual delivery time
-  bool inter_machine = false;
-};
+using metrics::MessageEdge;
 
 /// What an endpoint id means (worker rank / PS shard / other), registered
 /// by Session before the run so reports can say "worker 3" and the
@@ -60,6 +55,9 @@ struct EndpointInfo {
 
 class SpanLog final : public metrics::SpanSink {
  public:
+  /// A log whose message edges are `edges`, which must outlive it.
+  explicit SpanLog(const metrics::EdgeLog& edges) : edges_(&edges) {}
+
   /// Registers endpoint `id` (ids are dense, assigned by net::Network).
   void register_endpoint(int id, std::string name, int machine,
                          int worker_rank);
@@ -69,14 +67,12 @@ class SpanLog final : public metrics::SpanSink {
                 double end) override;
   void on_window(int worker, std::int64_t round, double start,
                  double end) override;
-  void on_edge(int src_ep, int dst_ep, std::uint64_t bytes, double sent,
-               double arrival, bool inter_machine) override;
 
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
   }
-  [[nodiscard]] const std::vector<MessageEdge>& edges() const noexcept {
-    return edges_;
+  [[nodiscard]] const metrics::EdgeLog& edges() const noexcept {
+    return *edges_;
   }
   [[nodiscard]] const std::vector<EndpointInfo>& endpoints() const noexcept {
     return endpoints_;
@@ -95,13 +91,14 @@ class SpanLog final : public metrics::SpanSink {
   /// Chrome-tracing JSON: one track per worker with phase slices (windows
   /// as an overlay track per worker), one flow arrow per message edge, and
   /// process/thread-name metadata. Complements metrics::TraceLog — this
-  /// export exists even for runs that never set `trace_path`.
+  /// export exists even for runs that never set `trace_path`. Flows are
+  /// expanded by TraceLog's writer, named by their byte size.
   void write_chrome_json(std::ostream& os) const;
   void save_chrome_json(const std::string& path) const;
 
  private:
   std::vector<Span> spans_;
-  std::vector<MessageEdge> edges_;
+  const metrics::EdgeLog* edges_;
   std::vector<EndpointInfo> endpoints_;  // indexed by endpoint id
 };
 

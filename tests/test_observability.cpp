@@ -10,12 +10,15 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "faults/faults.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
+#include "metrics/span_sink.hpp"
 #include "metrics/trace.hpp"
 #include "net/network.hpp"
 #include "runtime/sim.hpp"
@@ -195,14 +198,25 @@ struct FlowOp {
   bool transfer = false;  // a recovery pull (Network::transfer)
 };
 
+/// A trace and the edge log its flows expand from.
+struct FlowLogs {
+  metrics::TraceLog trace;
+  metrics::EdgeLog edges;
+};
+
+/// What run_flows drove: each operation keyed by its send time, and the
+/// endpoint names by id.
+struct FlowRun {
+  std::map<double, FlowOp> ops;
+  std::vector<std::string> endpoints;
+};
+
 /// Sends messages among two named and one unnamed endpoint on a lossy,
 /// duplicating two-machine network, with a recovery transfer every ninth
-/// operation, and records the flows on `first` — on `second` from operation
-/// `switch_at` on. Every operation starts at its own virtual time; returns
-/// them keyed by that time.
-std::map<double, FlowOp> run_flows(metrics::TraceLog& first,
-                                   metrics::TraceLog* second, int switch_at,
-                                   metrics::MetricRegistry& registry) {
+/// operation, and records them on `first` — on `second` from operation
+/// `switch_at` on. Every operation starts at its own virtual time.
+FlowRun run_flows(FlowLogs& first, FlowLogs* second, int switch_at,
+                  metrics::MetricRegistry& registry) {
   net::ClusterSpec spec;
   spec.num_machines = 2;
   spec.send_overhead = 0.0;
@@ -214,19 +228,23 @@ std::map<double, FlowOp> run_flows(metrics::TraceLog& first,
   net::Network netw(engine, spec);
   netw.set_faults(&plan);
   netw.set_metrics(&registry);
-  netw.set_trace(&first);
+  netw.set_edges(&first.edges);
+  netw.set_trace(&first.trace);
   const int eps[] = {netw.add_endpoint(0, "ps0"),
                      netw.add_endpoint(1, "worker0"), netw.add_endpoint(1)};
-  std::map<double, FlowOp> ops;
+  FlowRun run;
   engine.spawn("driver", [&](runtime::Process& self) {
     for (int i = 0; i < 90; ++i) {
-      if (i == switch_at) netw.set_trace(second);
+      if (i == switch_at) {
+        netw.set_edges(&second->edges);
+        netw.set_trace(&second->trace);
+      }
       self.advance(1e-3);
       const int src = eps[i % 3];
       const int dst = eps[(i + 1 + i / 3 % 2) % 3];
       const bool transfer = i % 9 == 8;
-      ops[self.now()] = {netw.endpoint_name(src), netw.endpoint_name(dst),
-                         transfer};
+      run.ops[self.now()] = {netw.endpoint_name(src), netw.endpoint_name(dst),
+                             transfer};
       if (transfer) {
         netw.transfer(self, src, dst, 4096);
       } else {
@@ -237,73 +255,116 @@ std::map<double, FlowOp> run_flows(metrics::TraceLog& first,
     }
   });
   engine.run();
-  return ops;
+  for (const int ep : eps) run.endpoints.push_back(netw.endpoint_name(ep));
+  return run;
 }
 
-TEST(FlowTrace, CachedIdsMatchStringRecording) {
-  metrics::TraceLog got;
-  metrics::MetricRegistry registry;
-  const std::map<double, FlowOp> ops = run_flows(got, nullptr, -1, registry);
-
-  // The same flows through the string API, named from the driver's own
-  // record of each operation, in a log whose ids are numbered differently.
-  metrics::TraceLog want;
-  want.intern("unrelated");
+/// How many flows of each sort string_recording saw.
+struct FlowCounts {
   int lost = 0;
   int recovered = 0;
-  std::map<double, int> flows_per_op;
-  for (const metrics::TraceLog::FlowEvent& e : got.flow_events()) {
-    const FlowOp& op = ops.at(e.sent);
-    const bool was_lost = got.str(e.name).starts_with("lost ");
-    const std::string prefix =
-        op.transfer ? "recover " : (was_lost ? "lost " : "");
-    want.flow(op.src, op.dst, prefix + op.src + "->" + op.dst, e.sent,
-              e.arrival, e.id);
-    lost += was_lost ? 1 : 0;
-    recovered += op.transfer ? 1 : 0;
-    ++flows_per_op[e.sent];
-  }
-  std::ostringstream got_json;
-  std::ostringstream want_json;
-  got.write_chrome_json(got_json);
-  want.write_chrome_json(want_json);
-  EXPECT_EQ(got_json.str(), want_json.str());
+  int duplicated = 0;  // operations delivered twice
+  int total = 0;
+};
 
-  // All three flow kinds and duplicates occurred, and every message on the
-  // wire has exactly one flow.
-  const auto dups =
-      std::count_if(flows_per_op.begin(), flows_per_op.end(),
-                    [](const auto& kv) { return kv.second == 2; });
-  EXPECT_GT(lost, 0);
-  EXPECT_EQ(recovered, 10);
-  EXPECT_GT(dups, 0);
-  EXPECT_EQ(static_cast<double>(lost),
-            registry.counter("net.lost_total").value());
-  EXPECT_EQ(static_cast<double>(got.flow_events().size()),
-            registry.snapshot().total("net.messages_total"));
+/// The flows of `logs` recorded again through the string API, ids from 1,
+/// in the order they were sent: per operation its lost flow, or its
+/// one or two (duplicated) deliveries in edge order, named from the
+/// sender's own record of the operation.
+metrics::TraceLog string_recording(const FlowLogs& logs, const FlowRun& run,
+                                   FlowCounts& counts) {
+  std::map<double, std::vector<std::pair<double, bool>>> by_op;
+  for (const metrics::TraceLog::LostFlow& f : logs.trace.lost_flows()) {
+    by_op[f.sent].emplace_back(f.arrival, true);
+  }
+  for (const metrics::MessageEdge& e : logs.edges) {
+    by_op[e.sent].emplace_back(e.arrival, false);
+  }
+  metrics::TraceLog want;
+  std::uint64_t id = 0;
+  for (const auto& [sent, flows] : by_op) {
+    const FlowOp& op = run.ops.at(sent);
+    for (const auto& [arrival, lost] : flows) {
+      const std::string prefix =
+          lost ? "lost " : (op.transfer ? "recover " : "");
+      want.flow(op.src, op.dst, prefix + op.src + "->" + op.dst, sent,
+                arrival, ++id);
+      counts.lost += lost ? 1 : 0;
+      counts.recovered += op.transfer ? 1 : 0;
+    }
+    counts.duplicated += flows.size() == 2 ? 1 : 0;
+  }
+  counts.total = static_cast<int>(id);
+  return want;
 }
 
-TEST(FlowTrace, SetTraceDropsTheCachedIdsOfThePreviousLog) {
-  // The second log already holds other strings, so any id cached for the
-  // first log names something else (or nothing) in it.
-  metrics::TraceLog first;
-  metrics::TraceLog second;
-  for (int i = 0; i < 16; ++i) second.intern("filler" + std::to_string(i));
-  metrics::MetricRegistry registry;
-  const std::map<double, FlowOp> ops = run_flows(first, &second, 45, registry);
-  ASSERT_FALSE(first.flow_events().empty());
-  ASSERT_FALSE(second.flow_events().empty());
-  for (const metrics::TraceLog* log : {&first, &second}) {
-    for (const metrics::TraceLog::FlowEvent& e : log->flow_events()) {
-      const FlowOp& op = ops.at(e.sent);
-      EXPECT_EQ(log->str(e.src_track), op.src);
-      EXPECT_EQ(log->str(e.dst_track), op.dst);
-      EXPECT_TRUE(log->str(e.name).ends_with(op.src + "->" + op.dst))
-          << log->str(e.name);
-    }
+std::string chrome_json(const metrics::TraceLog& trace) {
+  std::ostringstream os;
+  trace.write_chrome_json(os);
+  return os.str();
+}
+
+/// The Chrome JSON of `logs`, the flows expanded from its edge log onto
+/// the tracks of `run`'s endpoints.
+std::string expanded_json(FlowLogs& logs, const FlowRun& run) {
+  std::vector<metrics::TraceLog::Id> tracks;
+  for (const std::string& name : run.endpoints) {
+    tracks.push_back(logs.trace.intern(name));
   }
-  EXPECT_LT(first.flow_events().back().sent,
-            second.flow_events().front().sent);
+  std::ostringstream os;
+  logs.trace.write_chrome_json(os, nullptr, {&logs.edges, &tracks});
+  return os.str();
+}
+
+TEST(FlowTrace, EdgeLogFlowsMatchStringRecording) {
+  FlowLogs got;
+  metrics::MetricRegistry registry;
+  const FlowRun run = run_flows(got, nullptr, -1, registry);
+
+  FlowCounts counts;
+  const metrics::TraceLog want = string_recording(got, run, counts);
+  const std::string json = expanded_json(got, run);
+  EXPECT_EQ(json, chrome_json(want));
+
+  // All three flow kinds and duplicates occurred, and every message on the
+  // wire has exactly one flow pair.
+  EXPECT_GT(counts.lost, 0);
+  EXPECT_EQ(counts.recovered, 10);
+  EXPECT_GT(counts.duplicated, 0);
+  EXPECT_EQ(static_cast<double>(counts.lost),
+            registry.counter("net.lost_total").value());
+  const double messages = registry.snapshot().total("net.messages_total");
+  EXPECT_EQ(static_cast<double>(counts.total), messages);
+  std::size_t starts = 0;
+  for (std::size_t at = 0; (at = json.find(R"("ph":"s")", at)) !=
+                           std::string::npos;
+       ++at) {
+    ++starts;
+  }
+  EXPECT_EQ(static_cast<double>(starts), messages);
+}
+
+TEST(FlowTrace, ReattachedLogsCarryNothingOver) {
+  // The second logs start empty after the first already hold flows: their
+  // lost flows must be placed among their own edges, and their ids and
+  // tracks must start afresh.
+  FlowLogs first;
+  FlowLogs second;
+  metrics::MetricRegistry registry;
+  const FlowRun run = run_flows(first, &second, 45, registry);
+  ASSERT_FALSE(first.edges.empty());
+  ASSERT_FALSE(second.edges.empty());
+  ASSERT_FALSE(second.trace.lost_flows().empty());
+  EXPECT_LT(first.edges.back().sent, second.edges.front().sent);
+  int total = 0;
+  for (FlowLogs* logs : {&first, &second}) {
+    FlowCounts counts;
+    const metrics::TraceLog want = string_recording(*logs, run, counts);
+    EXPECT_EQ(expanded_json(*logs, run), chrome_json(want));
+    total += counts.total;
+  }
+  EXPECT_EQ(static_cast<double>(total),
+            registry.snapshot().total("net.messages_total"));
 }
 
 }  // namespace

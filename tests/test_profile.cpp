@@ -37,12 +37,13 @@ std::string slurp(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 TEST(SpanLog, RecordsSpansWindowsAndEdges) {
-  SpanLog log;
+  metrics::EdgeLog edges;
+  SpanLog log(edges);
   log.register_endpoint(0, "worker0", 0, 0);
   log.register_endpoint(1, "ps0", 0, -1);
   log.on_phase(0, 0, 0, 0.0, 1.5);
   log.on_window(0, 0, 1.5, 2.0);
-  log.on_edge(0, 1, 1024, 1.5, 1.75, true);
+  edges.push_back({0, 1, 1024, 1.5, 1.75, true});
 
   ASSERT_EQ(log.spans().size(), 2u);
   EXPECT_EQ(log.spans()[0].phase, 0);
@@ -56,11 +57,12 @@ TEST(SpanLog, RecordsSpansWindowsAndEdges) {
 }
 
 TEST(SpanLog, JsonlContainsEndpointsSpansAndEdges) {
-  SpanLog log;
+  metrics::EdgeLog edges;
+  SpanLog log(edges);
   log.register_endpoint(0, "worker0", 0, 0);
   log.register_endpoint(1, "ps0", 1, -1);
   log.on_phase(0, 3, 0, 0.0, 1.0);
-  log.on_edge(0, 1, 2048, 1.0, 1.25, true);
+  edges.push_back({0, 1, 2048, 1.0, 1.25, true});
 
   std::ostringstream os;
   log.write_jsonl(os);
@@ -85,11 +87,12 @@ TEST(CriticalPath, WorkerToWorkerChainTilesMakespan) {
   // worker1 computes [0,1], its message reaches worker0 at 1.25, worker0
   // computes [1.5,2.0]. Backward walk: compute 0.5 + wait 0.25 (dwell
   // 1.25..1.5) + comm 0.25 (transit) + compute 1.0 = makespan 2.0.
-  SpanLog log;
+  metrics::EdgeLog edges;
+  SpanLog log(edges);
   log.register_endpoint(0, "worker0", 0, 0);
   log.register_endpoint(1, "worker1", 1, 1);
   log.on_phase(1, 0, 0, 0.0, 1.0);
-  log.on_edge(1, 0, 4096, 1.0, 1.25, true);
+  edges.push_back({1, 0, 4096, 1.0, 1.25, true});
   log.on_phase(0, 0, 0, 1.5, 2.0);
 
   const RunProfile p = analyze(log, 2.0, 2, 0);
@@ -109,12 +112,13 @@ TEST(CriticalPath, PsDwellIsChargedToPsClass) {
   // worker0 computes [0,1], request reaches the PS at 1.2, the PS replies
   // at 1.5 (dwell 0.3 = queueing + service), reply arrives 1.7, worker0
   // computes [1.7,2.2]. The dwell at a non-worker endpoint is `ps`.
-  SpanLog log;
+  metrics::EdgeLog edges;
+  SpanLog log(edges);
   log.register_endpoint(0, "worker0", 0, 0);
   log.register_endpoint(1, "ps0", 1, -1);
   log.on_phase(0, 0, 0, 0.0, 1.0);
-  log.on_edge(0, 1, 4096, 1.0, 1.2, true);
-  log.on_edge(1, 0, 4096, 1.5, 1.7, true);
+  edges.push_back({0, 1, 4096, 1.0, 1.2, true});
+  edges.push_back({1, 0, 4096, 1.5, 1.7, true});
   log.on_phase(0, 1, 0, 1.7, 2.2);
 
   const RunProfile p = analyze(log, 2.2, 1, 0);
@@ -127,7 +131,8 @@ TEST(CriticalPath, PsDwellIsChargedToPsClass) {
 }
 
 TEST(CriticalPath, ReportSharesSumToHundredPercent) {
-  SpanLog log;
+  metrics::EdgeLog edges;
+  SpanLog log(edges);
   log.register_endpoint(0, "worker0", 0, 0);
   log.on_phase(0, 0, 0, 0.0, 1.0);
   log.on_phase(0, 0, 1, 1.0, 1.5);
