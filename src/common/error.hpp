@@ -12,6 +12,10 @@
 //
 //   if (!ok) common::fail("Dense(" + name + "): bad input shape " + shape);
 //
+// The `file:line:` prefix names the file relative to the repository root
+// (`src/core/session.cpp:79: ...`), so one failure reads the same in every
+// checkout.
+//
 // The `std::string` overload of `check` is deprecated and kept only for
 // perfbench/src/bench.cpp, which builds against these headers and still
 // passes a formatted message. The repository build compiles with
@@ -24,6 +28,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dt::common {
 
@@ -32,11 +37,24 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// `file` relative to the repository root: the part after the root prefix
+/// that this header's own path has before "src/common/error.hpp".
+/// Unchanged when `file` lies outside that root.
+constexpr std::string_view repo_relative(std::string_view file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/common/error.hpp";
+  constexpr std::string_view root =
+      self.ends_with(tail) ? self.substr(0, self.size() - tail.size()) : "";
+  return !root.empty() && file.starts_with(root) ? file.substr(root.size())
+                                                 : file;
+}
+
 [[noreturn]] inline void fail(
     const std::string& message,
     std::source_location loc = std::source_location::current()) {
   std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": " << message;
+  os << repo_relative(loc.file_name()) << ':' << loc.line() << ": "
+     << message;
   throw Error(os.str());
 }
 

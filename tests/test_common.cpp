@@ -225,7 +225,7 @@ TEST(Check, FailureTextIsCallerFileLineAndMessage) {
     FAIL() << "check did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()),
-              std::string(__FILE__) + ":" + std::to_string(line) + ": boom");
+              "tests/test_common.cpp:" + std::to_string(line) + ": boom");
   }
 }
 
@@ -235,9 +235,24 @@ TEST(Check, FormattedFailureKeepsTheSamePrefix) {
   try {
     fail("bad name " + name);
   } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()), std::string(__FILE__) + ":" +
+    EXPECT_EQ(std::string(e.what()), "tests/test_common.cpp:" +
                                          std::to_string(line) +
                                          ": bad name w3");
+  }
+}
+
+TEST(Check, LibraryFailureNamesItsFileFromTheRepositoryRoot) {
+  // The same failure reads the same in every checkout: the prefix is the
+  // source file relative to the repository root, not the path the
+  // compiler was given.
+  Table t;
+  t.set_header({"a", "b"});
+  try {
+    t.add_row({"only-one"});
+    FAIL() << "add_row did not throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what.starts_with("src/common/table.cpp:")) << what;
   }
 }
 
