@@ -56,24 +56,36 @@ Dataset make_teacher_student(const TeacherStudentSpec& spec,
   ds.labels.resize(static_cast<std::size_t>(n));
   ds.num_classes = c;
 
+  // Both mat-vecs walk their weights row by row into one double
+  // accumulator per output, so each output still sums the same terms in
+  // the same order (j, then k) as a column-by-column dot product would.
   std::vector<float> hidden(static_cast<std::size_t>(h));
   std::vector<float> logits(static_cast<std::size_t>(c));
+  std::vector<double> acc_h(static_cast<std::size_t>(h));
+  std::vector<double> acc_c(static_cast<std::size_t>(c));
   for (std::int64_t i = 0; i < n; ++i) {
     float* x = ds.inputs.data().data() + i * d;
     for (std::int64_t j = 0; j < d; ++j) {
       x[j] = static_cast<float>(rng.normal(0.0, 1.0));
     }
+    std::fill(acc_h.begin(), acc_h.end(), 0.0);
+    for (std::int64_t j = 0; j < d; ++j) {
+      const float* row = w1.data() + j * h;
+      for (std::int64_t k = 0; k < h; ++k) acc_h[k] += x[j] * row[k];
+    }
     for (std::int64_t k = 0; k < h; ++k) {
-      double acc = 0.0;
-      for (std::int64_t j = 0; j < d; ++j) acc += x[j] * w1[j * h + k];
-      hidden[static_cast<std::size_t>(k)] = std::tanh(static_cast<float>(acc));
+      hidden[static_cast<std::size_t>(k)] =
+          std::tanh(static_cast<float>(acc_h[k]));
+    }
+    std::fill(acc_c.begin(), acc_c.end(), 0.0);
+    for (std::int64_t k = 0; k < h; ++k) {
+      const float* row = w2.data() + k * c;
+      for (std::int32_t m = 0; m < c; ++m) {
+        acc_c[m] += hidden[static_cast<std::size_t>(k)] * row[m];
+      }
     }
     for (std::int32_t m = 0; m < c; ++m) {
-      double acc = 0.0;
-      for (std::int64_t k = 0; k < h; ++k) {
-        acc += hidden[static_cast<std::size_t>(k)] * w2[k * c + m];
-      }
-      logits[static_cast<std::size_t>(m)] = static_cast<float>(acc);
+      logits[static_cast<std::size_t>(m)] = static_cast<float>(acc_c[m]);
     }
     std::int32_t label = 0;
     for (std::int32_t m = 1; m < c; ++m) {
