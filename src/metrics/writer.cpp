@@ -58,6 +58,7 @@ ChunkWriter::ChunkWriter(std::ostream& os)
     : os_(os), buf_(std::make_unique_for_overwrite<char[]>(kChunkBytes)) {}
 
 void ChunkWriter::put(std::string_view s) {
+  if (s.empty()) return;  // an empty view's data() may be null: no memcpy
   if (s.size() > kChunkBytes - len_) {
     flush();
     if (s.size() > kChunkBytes) {  // a chunk or more: pass it through

@@ -230,6 +230,20 @@ TEST(ChunkWriter, StreamsAcrossChunkBoundaries) {
   EXPECT_EQ(os.str(), want);
 }
 
+TEST(ChunkWriter, EmptyViewPutIsANoOp) {
+  // A default string_view has a null data pointer, which memcpy must never
+  // see (UBSan's nonnull check), whether the buffer is empty or not.
+  std::ostringstream os;
+  {
+    ChunkWriter w(os);
+    w.put(std::string_view{});
+    w.put("ab");
+    w.put(std::string_view{});
+    w.put('c');
+  }
+  EXPECT_EQ(os.str(), "abc");
+}
+
 /// Values a number memo could confuse: signed zeros, NaNs that differ only
 /// in sign or payload (the all-ones pattern among them), infinities,
 /// subnormals, and neighbours of the %g switch points 1e-4 and 1e6.
