@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -316,15 +317,9 @@ class PsWorkerLink {
     std::size_t remaining = n;
     const double poll = s_.reliable->config().max_timeout;
     while (remaining > 0) {
-      try {
-        const Packet pkt = s_.reliable->recv_deadline(self_, ep_, kTagParams,
-                                                      self_.now() + poll);
-        const auto slot = static_cast<std::size_t>(pkt.b);
-        if (pkt.d != round_ || got_[slot] != 0) continue;  // stale/duplicate
-        got_[slot] = 1;
-        --remaining;
-        accept(pkt, basis, grant_shard, grant);
-      } catch (const net::TimeoutError&) {
+      const std::optional<Packet> pkt = s_.reliable->recv_until(
+          self_, ep_, kTagParams, self_.now() + poll);
+      if (!pkt.has_value()) {
         for (std::size_t slot = 0; slot < n; ++slot) {
           if (got_[slot] != 0) continue;
           const int shard = s_.plan.shard_of(slot);
@@ -335,7 +330,13 @@ class PsWorkerLink {
           repushed = 1;
           resend_to(shard, resend);
         }
+        continue;
       }
+      const auto slot = static_cast<std::size_t>(pkt->b);
+      if (pkt->d != round_ || got_[slot] != 0) continue;  // stale/duplicate
+      got_[slot] = 1;
+      --remaining;
+      accept(*pkt, basis, grant_shard, grant);
     }
     return true;
   }
@@ -594,11 +595,10 @@ struct PsShardLink {
         pkt = s.reliable->recv(self, ep);
       } else {
         if (self.now() >= crash->at) break;
-        try {
-          pkt = s.reliable->recv_deadline(self, ep, net::kAnyTag, crash->at);
-        } catch (const net::TimeoutError&) {
-          break;
-        }
+        std::optional<Packet> got =
+            s.reliable->recv_until(self, ep, net::kAnyTag, crash->at);
+        if (!got.has_value()) break;
+        pkt = std::move(*got);
       }
       probes.on_request(s, ep);
       handle(pkt);

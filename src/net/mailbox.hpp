@@ -10,7 +10,9 @@
 //
 // Senders mostly append (arrivals are usually non-decreasing), so insertion
 // walks back from the tail; receivers take the first packet matching a tag,
-// which is usually the head, and may unlink from anywhere.
+// which is usually the head, and may unlink from anywhere. push_back
+// appends whatever the arrival: ReliableTransport keeps its ready queues,
+// which hold delivery order, in a second instance.
 #pragma once
 
 #include <cstddef>
@@ -37,22 +39,22 @@ class Mailboxes {
 
   /// Queues `p` after every packet of `box` with arrival <= p.arrival.
   void insert(int box, Packet p) {
-    Box& b = boxes_[static_cast<std::size_t>(box)];
     const Slot s = acquire(std::move(p));
     const double arrival = nodes_[s].packet.arrival;
-    Slot after = b.tail;
+    Slot after = boxes_[static_cast<std::size_t>(box)].tail;
     while (after != kNone && nodes_[after].packet.arrival > arrival) {
       after = nodes_[after].prev;
     }
-    Slot before = after == kNone ? b.head : nodes_[after].next;
-    nodes_[s].prev = after;
-    nodes_[s].next = before;
-    (after == kNone ? b.head : nodes_[after].next) = s;
-    (before == kNone ? b.tail : nodes_[before].prev) = s;
-    ++b.size;
+    link_after(box, s, after);
   }
 
-  /// The earliest queued packet of `box` whose tag matches (any tag for
+  /// Queues `p` last in `box`, whatever its arrival: a plain FIFO.
+  void push_back(int box, Packet p) {
+    const Slot s = acquire(std::move(p));
+    link_after(box, s, boxes_[static_cast<std::size_t>(box)].tail);
+  }
+
+  /// The first queued packet of `box` whose tag matches (any tag for
   /// kAnyTag), or kNone.
   [[nodiscard]] Slot find(int box, int tag) const {
     Slot s = boxes_[static_cast<std::size_t>(box)].head;
@@ -107,6 +109,17 @@ class Mailboxes {
     Slot tail = kNone;
     std::size_t size = 0;
   };
+
+  /// Links slot `s` into `box` right after `after` (kNone: at the head).
+  void link_after(int box, Slot s, Slot after) {
+    Box& b = boxes_[static_cast<std::size_t>(box)];
+    const Slot before = after == kNone ? b.head : nodes_[after].next;
+    nodes_[s].prev = after;
+    nodes_[s].next = before;
+    (after == kNone ? b.head : nodes_[after].next) = s;
+    (before == kNone ? b.tail : nodes_[before].prev) = s;
+    ++b.size;
+  }
 
   Slot acquire(Packet&& p) {
     if (free_ == kNone) {

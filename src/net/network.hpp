@@ -90,7 +90,7 @@ class Network {
   /// Blocking receive with a virtual-time deadline: returns the earliest
   /// matching packet delivered strictly before `deadline`, or nullopt with
   /// `self` advanced to `deadline`. The timed primitive under
-  /// ReliableTransport's ack waits and recv_deadline.
+  /// ReliableTransport's ack waits and its own recv_until.
   std::optional<Packet> recv_until(runtime::Process& self, int endpoint,
                                    int tag, double deadline);
 

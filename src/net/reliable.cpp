@@ -23,14 +23,38 @@ void ReliableTransport::set_metrics(metrics::MetricRegistry* registry) {
   ctr_dup_ = &registry->counter("net.dup_delivered_total");
 }
 
+ReliableTransport::EndpointState& ReliableTransport::state(int ep) {
+  const auto i = static_cast<std::size_t>(ep);
+  if (i >= eps_.size()) {
+    // Every endpoint exists before traffic starts, so this runs once.
+    const std::size_t n =
+        std::max(i + 1, static_cast<std::size_t>(net_.num_endpoints()));
+    while (eps_.size() < n) {
+      eps_.emplace_back();
+      ready_.add();
+    }
+  }
+  return eps_[i];
+}
+
+ReliableTransport::Peer& ReliableTransport::peer(int ep, int remote) {
+  std::vector<Peer>& peers = state(ep).peers;
+  auto it = std::lower_bound(
+      peers.begin(), peers.end(), remote,
+      [](const Peer& p, int id) { return p.ep < id; });
+  if (it == peers.end() || it->ep != remote) {
+    it = peers.insert(it, Peer{.ep = remote});
+  }
+  return *it;
+}
+
 void ReliableTransport::send(runtime::Process& self, int src_ep, int dst_ep,
                              Packet pkt, std::int64_t* seq_io) {
-  EndpointState& st = state(src_ep);
   std::int64_t seq;
   if (seq_io != nullptr && *seq_io >= 0) {
     seq = *seq_io;  // retry of an abandoned send: keep the receiver gapless
   } else {
-    seq = st.next_seq[dst_ep]++;
+    seq = peer(src_ep, dst_ep).next_seq++;
     if (seq_io != nullptr) *seq_io = seq;
   }
   pkt.rel_seq = seq;
@@ -42,7 +66,7 @@ void ReliableTransport::send(runtime::Process& self, int src_ep, int dst_ep,
     const double attempt_at = self.now();  // post send-overhead
     if (await_ack(self, src_ep, dst_ep, seq, attempt_at + wait)) {
       if (registry_ != nullptr) {
-        metrics::Gauge*& g = rtt_gauges_[src_ep];
+        metrics::Gauge*& g = state(src_ep).rtt_gauge;
         if (g == nullptr) {
           g = &registry_->gauge("net.ack_rtt_s",
                                 {{"endpoint", net_.endpoint_name(src_ep)}});
@@ -81,13 +105,12 @@ bool ReliableTransport::await_ack(runtime::Process& self, int src_ep,
 
 void ReliableTransport::handle_raw(runtime::Process& self, int ep,
                                    Packet pkt) {
-  EndpointState& st = state(ep);
   if (pkt.tag == kTagAck) return;  // stale ack outside a send — drop
-  if (st.deaf) return;             // fail-stopped owner: drop, never ack
+  if (state(ep).deaf) return;      // fail-stopped owner: drop, never ack
 
   if (pkt.rel_seq < 0) {
     // Raw (non-transport) delivery on a transport endpoint: pass through.
-    st.ready.push_back(std::move(pkt));
+    ready_.push_back(ep, std::move(pkt));
     return;
   }
 
@@ -100,31 +123,31 @@ void ReliableTransport::handle_raw(runtime::Process& self, int ep,
   ack.wire_bytes = kAckBytes;
   net_.send(self, ep, peer_ep, std::move(ack));
 
-  PeerState& peer = st.peers[peer_ep];
-  if (pkt.rel_seq < peer.next_expected ||
-      peer.parked.find(pkt.rel_seq) != peer.parked.end()) {
+  Peer& from = peer(ep, peer_ep);
+  if (pkt.rel_seq == from.next_expected && from.parked.empty()) {
+    ++from.next_expected;  // in order, no gap open: deliver directly
+    ready_.push_back(ep, std::move(pkt));
+    return;
+  }
+  if (pkt.rel_seq < from.next_expected ||
+      from.parked.find(pkt.rel_seq) != from.parked.end()) {
     if (ctr_dup_ != nullptr) ctr_dup_->inc();
     return;  // exactly-once: duplicate delivery dropped
   }
-  peer.parked.emplace(pkt.rel_seq, std::move(pkt));
+  from.parked.emplace(pkt.rel_seq, std::move(pkt));
   // Release the in-order prefix.
-  for (auto it = peer.parked.begin();
-       it != peer.parked.end() && it->first == peer.next_expected;
-       it = peer.parked.erase(it), ++peer.next_expected) {
-    st.ready.push_back(std::move(it->second));
+  for (auto it = from.parked.begin();
+       it != from.parked.end() && it->first == from.next_expected;
+       it = from.parked.erase(it), ++from.next_expected) {
+    ready_.push_back(ep, std::move(it->second));
   }
 }
 
 std::optional<Packet> ReliableTransport::pop_ready(int ep, int tag) {
-  EndpointState& st = state(ep);
-  for (auto it = st.ready.begin(); it != st.ready.end(); ++it) {
-    if (tag == kAnyTag || it->tag == tag) {
-      Packet out = std::move(*it);
-      st.ready.erase(it);
-      return out;
-    }
-  }
-  return std::nullopt;
+  (void)state(ep);  // creates the endpoint's ready queue
+  const Mailboxes::Slot s = ready_.find(ep, tag);
+  if (s == Mailboxes::kNone) return std::nullopt;
+  return ready_.take(ep, s);
 }
 
 Packet ReliableTransport::recv(runtime::Process& self, int ep, int tag) {
@@ -134,17 +157,14 @@ Packet ReliableTransport::recv(runtime::Process& self, int ep, int tag) {
   }
 }
 
-Packet ReliableTransport::recv_deadline(runtime::Process& self, int ep,
-                                        int tag, double deadline) {
+std::optional<Packet> ReliableTransport::recv_until(runtime::Process& self,
+                                                    int ep, int tag,
+                                                    double deadline) {
   for (;;) {
-    if (auto pkt = pop_ready(ep, tag)) return std::move(*pkt);
+    if (auto pkt = pop_ready(ep, tag)) return pkt;
     std::optional<Packet> raw =
         net_.recv_until(self, ep, kAnyTag, deadline);
-    if (!raw.has_value()) {
-      throw TimeoutError("reliable: recv deadline passed at " +
-                         net_.endpoint_name(ep) + " (tag " +
-                         std::to_string(tag) + ")");
-    }
+    if (!raw.has_value()) return std::nullopt;
     handle_raw(self, ep, std::move(*raw));
   }
 }
@@ -161,11 +181,12 @@ std::optional<Packet> ReliableTransport::try_recv(runtime::Process& self,
 void ReliableTransport::set_deaf(int ep) { state(ep).deaf = true; }
 
 std::vector<Packet> ReliableTransport::drain_ready(int ep) {
-  EndpointState& st = state(ep);
+  (void)state(ep);
   std::vector<Packet> out;
-  out.reserve(st.ready.size());
-  for (Packet& p : st.ready) out.push_back(std::move(p));
-  st.ready.clear();
+  out.reserve(ready_.size(ep));
+  for (Mailboxes::Slot s; (s = ready_.find(ep, kAnyTag)) != Mailboxes::kNone;) {
+    out.push_back(ready_.take(ep, s));
+  }
   return out;
 }
 

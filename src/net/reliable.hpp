@@ -16,7 +16,8 @@
 //  * the receive side delivers each message exactly once and in per-source
 //    order: duplicates (injected or retransmitted) are re-acked, counted in
 //    net.dup_delivered_total, and dropped; out-of-order arrivals are held
-//    until the gap fills.
+//    until the gap fills. A deadline receive (recv_until) returns nothing
+//    at its deadline; it never throws.
 //
 // Deadlock freedom: a sender blocked waiting for an ack keeps servicing its
 // own endpoint — incoming data packets are acked and buffered for a later
@@ -24,19 +25,25 @@
 // themselves travel unreliably (a lost ack is repaired by the sender's
 // retransmission, which the receiver dedups and re-acks).
 //
+// Steady state costs what the plain path costs: per-endpoint state is a
+// vector indexed by endpoint id, per-pair state a sorted vector of the
+// peers an endpoint has talked to (it allocates at first contact only), the
+// ready queues share one pooled Mailboxes, and an in-order delivery goes
+// straight to its ready queue. Only a real gap parks packets in a map.
+//
 // All timing is virtual, so lossy runs inherit the simulator's determinism
 // contract: same (config, seed) → byte-identical results at any
 // compute_threads setting.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "metrics/registry.hpp"
+#include "net/mailbox.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "runtime/sim.hpp"
@@ -58,8 +65,7 @@ struct ReliableConfig {
   int max_retransmits = 10;  // budget per send() before TimeoutError
 };
 
-/// Raised when a send() exhausts its retransmit budget or a
-/// recv_deadline() passes without a matching message — the signal the
+/// Raised when a send() exhausts its retransmit budget — the signal the
 /// PS-failover logic turns into a route change instead of a hang.
 class TimeoutError : public common::Error {
  public:
@@ -94,10 +100,11 @@ class ReliableTransport {
   /// buffered (or next arriving) message with a matching tag.
   Packet recv(runtime::Process& self, int ep, int tag = kAnyTag);
 
-  /// recv with a virtual-time deadline; throws TimeoutError at `deadline`
-  /// if no matching message was delivered.
-  Packet recv_deadline(runtime::Process& self, int ep, int tag,
-                       double deadline);
+  /// recv with a virtual-time deadline, the contract of
+  /// Network::recv_until: the earliest matching message delivered before
+  /// `deadline`, or nullopt with `self` advanced to `deadline`.
+  std::optional<Packet> recv_until(runtime::Process& self, int ep, int tag,
+                                   double deadline);
 
   /// Non-blocking receive over already-delivered traffic.
   std::optional<Packet> try_recv(runtime::Process& self, int ep,
@@ -118,18 +125,28 @@ class ReliableTransport {
   [[nodiscard]] const ReliableConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct PeerState {
-    std::int64_t next_expected = 0;         // next in-order seq to deliver
-    std::map<std::int64_t, Packet> parked;  // out-of-order, keyed by seq
+  /// One endpoint's half of a (local, remote) endpoint pair.
+  struct Peer {
+    int ep = -1;                     // the remote endpoint
+    std::int64_t next_seq = 0;       // next seq to send to it
+    std::int64_t next_expected = 0;  // next in-order seq to deliver from it
+    std::map<std::int64_t, Packet> parked;  // out-of-order, by seq (gaps)
   };
   struct EndpointState {
     bool deaf = false;
-    std::deque<Packet> ready;                 // in-order, deduped, unread
-    std::map<int, PeerState> peers;           // by remote endpoint
-    std::map<int, std::int64_t> next_seq;     // by destination endpoint
+    std::vector<Peer> peers;              // sorted by ep; first contact adds
+    metrics::Gauge* rtt_gauge = nullptr;  // net.ack_rtt_s, at first ack
   };
 
-  EndpointState& state(int ep) { return eps_[ep]; }
+  // Network::send yields the calling fiber (send_overhead), and another
+  // fiber may then grow eps_ or its own peer list: hold no reference into
+  // either across a send.
+
+  /// `ep`'s state; the table grows to every endpoint at first contact.
+  EndpointState& state(int ep);
+
+  /// `ep`'s entry for `remote`, added (sorted) at first contact.
+  Peer& peer(int ep, int remote);
 
   /// Waits until `deadline` for dst's ack of `seq`, servicing (acking and
   /// buffering) any data packets that arrive meanwhile. False on timeout.
@@ -144,12 +161,12 @@ class ReliableTransport {
 
   Network& net_;
   ReliableConfig cfg_;
-  std::map<int, EndpointState> eps_;
+  std::vector<EndpointState> eps_;  // by endpoint id
+  Mailboxes ready_;  // by endpoint id: in-order, deduped, unread
 
   metrics::MetricRegistry* registry_ = nullptr;
   metrics::Counter* ctr_retransmits_ = nullptr;
   metrics::Counter* ctr_dup_ = nullptr;
-  std::map<int, metrics::Gauge*> rtt_gauges_;  // by sender endpoint
 };
 
 }  // namespace dt::net

@@ -80,20 +80,35 @@ struct Counted {
   std::uint64_t messages = 0;
 };
 
+/// How a counted run differs from the cost-only default.
+struct Variant {
+  bool traced = false;  // trace and time-series outputs on
+  bool lossy = false;   // the campaign's lossy, replicated-PS column
+  int workers = kWorkers;
+};
+
 Counted run_counted(const std::string& algorithm, int iterations,
-                    bool traced) {
+                    const Variant& v) {
   common::IniConfig ini;
   ini.set("experiment", "algorithm", algorithm);
   ini.set("experiment", "mode", "throughput");
-  ini.set("experiment", "workers", std::to_string(kWorkers));
+  ini.set("experiment", "workers", std::to_string(v.workers));
   ini.set("experiment", "iterations", std::to_string(iterations));
   ini.set("experiment", "seed", "42");
   ini.set("runtime", "compute_threads", "1");
   ini.set("workload", "model", "vgg16");
   const std::string out = "/tmp/dtrainlib_alloc_" + algorithm;
-  if (traced) {
+  if (v.traced) {
     ini.set("output", "trace", out + ".trace.json");
     ini.set("output", "timeseries_csv", out + ".csv");
+  }
+  if (v.lossy) {
+    ini.set("optimizations", "wait_free_bp", "false");
+    ini.set("failures", "loss_prob", "0.01");
+    ini.set("failures", "dup_prob", "0.01");
+    ini.set("failures", "reorder_prob", "0.01");
+    ini.set("failures", "reorder_window", "0.002");
+    ini.set("reliability", "replicate_ps", "true");
   }
   const ExperimentSpec spec = ExperimentSpec::from_ini(ini);
   Workload wl = spec.make_workload();
@@ -101,7 +116,7 @@ Counted run_counted(const std::string& algorithm, int iterations,
   const std::uint64_t before = g_allocations.load();
   const metrics::RunResult r = session.run();
   const Counted counted{g_allocations.load() - before, r.wire_messages};
-  if (traced) {
+  if (v.traced) {
     std::remove((out + ".trace.json").c_str());
     std::remove((out + ".csv").c_str());
   }
@@ -109,9 +124,9 @@ Counted run_counted(const std::string& algorithm, int iterations,
 }
 
 double allocations_per_extra_message(const std::string& algorithm,
-                                     bool traced = false) {
-  const Counted short_run = run_counted(algorithm, 8, traced);
-  const Counted long_run = run_counted(algorithm, 16, traced);
+                                     const Variant& v = {}) {
+  const Counted short_run = run_counted(algorithm, 8, v);
+  const Counted long_run = run_counted(algorithm, 16, v);
   // Setup inside Session::run allocates, so zero means the counter is dead.
   EXPECT_GT(short_run.allocations, 0u);
   EXPECT_GT(long_run.messages, short_run.messages);
@@ -139,12 +154,26 @@ TEST(AllocationBudget, ParameterServerSteadyStateIsAllocationFree) {
 // inside Session::run. Recording stores interned ids, and the exporters
 // stream through a fixed chunk buffer, so the budget is the same.
 TEST(AllocationBudget, TracedRingAllReduceStaysWithinBudget) {
-  EXPECT_LE(allocations_per_extra_message("arsgd", true),
+  EXPECT_LE(allocations_per_extra_message("arsgd", {.traced = true}),
             kMaxAllocsPerMessage);
 }
 
 TEST(AllocationBudget, TracedParameterServerStaysWithinBudget) {
-  EXPECT_LE(allocations_per_extra_message("bsp", true), kMaxAllocsPerMessage);
+  EXPECT_LE(allocations_per_extra_message("bsp", {.traced = true}),
+            kMaxAllocsPerMessage);
+}
+
+// Lossy links with a replicated PS route every PS exchange through
+// net::ReliableTransport: acks, dedup, in-order release and deadline
+// receives. Per-pair state is created at first contact, and an in-order
+// delivery or an expired deadline must not touch the heap.
+TEST(AllocationBudget, LossyParameterServerStaysWithinBudget) {
+  for (const char* algorithm : {"bsp", "asp", "ssp", "easgd"}) {
+    EXPECT_LE(allocations_per_extra_message(
+                  algorithm, {.lossy = true, .workers = 24}),
+              kMaxAllocsPerMessage)
+        << algorithm;
+  }
 }
 
 // A functional training step (next mini-batch, forward, loss, backward)

@@ -1,6 +1,6 @@
-// Tests for the reliable transport and PS-shard failover (ISSUE 4): ARQ
+// Tests for the reliable transport and PS-shard failover: ARQ
 // exactly-once delivery over a lossy/duplicating/reordering network, the
-// hand-computable retransmit/backoff schedule, recv deadlines, PS-crash →
+// hand-computable retransmit/backoff schedule, deadline receives, PS-crash →
 // backup promotion with bitwise-identical parameters, the A/B determinism
 // contract for lossy + failover runs, and the strict `[failures]` /
 // `[reliability]` INI validation.
@@ -122,11 +122,9 @@ TEST(ReliableTransport, BidirectionalSendsDoNotDeadlock) {
       }
       // Linger servicing the endpoint: the ack of our last delivery may
       // have been lost, and the peer's retransmission needs a re-ack.
-      try {
-        (void)rt.recv_deadline(self, self_ep, net::kAnyTag, self.now() + 1.0);
-        ADD_FAILURE() << "unexpected fresh delivery while lingering";
-      } catch (const net::TimeoutError&) {
-      }
+      EXPECT_FALSE(
+          rt.recv_until(self, self_ep, net::kAnyTag, self.now() + 1.0))
+          << "unexpected fresh delivery while lingering";
     };
   };
   engine.spawn("peer_a", peer(a, b, &got_a));
@@ -176,26 +174,65 @@ TEST(ReliableTransport, BackoffScheduleMatchesHandComputedVirtualTimes) {
   EXPECT_EQ(registry.counter("net.retransmits_total").value(), 3.0);
 }
 
-TEST(ReliableTransport, RecvDeadlineThrowsTypedErrorAtDeadline) {
+TEST(ReliableTransport, RecvUntilReturnsNothingAtTheDeadline) {
   runtime::SimEngine engine;
   net::Network netw(engine, lossy_spec());
   net::ReliableTransport rt(netw, net::ReliableConfig{});
   const int b = netw.add_endpoint(0, "rx");
-  double threw_at = -1.0;
-  std::string what;
+  double returned_at = -1.0;
   engine.spawn("rx", [&](runtime::Process& self) {
     netw.bind(b, self);
-    try {
-      (void)rt.recv_deadline(self, b, net::kAnyTag, 0.5);
-      FAIL() << "recv_deadline returned without traffic";
-    } catch (const net::TimeoutError& e) {
-      threw_at = self.now();
-      what = e.what();
+    EXPECT_FALSE(rt.recv_until(self, b, net::kAnyTag, 0.5))
+        << "recv_until returned a message without traffic";
+    returned_at = self.now();
+  });
+  engine.run();
+  EXPECT_DOUBLE_EQ(returned_at, 0.5);
+}
+
+TEST(ReliableTransport, OutOfOrderAndDuplicateSeqsDeliverOnceInOrder) {
+  // Raw packets with hand-set sequence numbers 0, 2, 1, 1, 4, 3, 0 on a
+  // clean wire: the in-order fast path must never skip the gaps at 2 and
+  // 4, the second 1 and the last 0 are duplicates, and every arrival —
+  // duplicates included — is acked once.
+  runtime::SimEngine engine;
+  net::Network netw(engine, lossy_spec());
+  metrics::MetricRegistry registry;
+  netw.set_metrics(&registry);
+  net::ReliableTransport rt(netw, net::ReliableConfig{});
+  rt.set_metrics(&registry);
+
+  const int a = netw.add_endpoint(0, "tx");
+  const int b = netw.add_endpoint(1, "rx");
+  const std::vector<std::int64_t> order = {0, 2, 1, 1, 4, 3, 0};
+  std::vector<std::int64_t> got;
+  std::vector<std::int64_t> acked;
+  engine.spawn("rx", [&](runtime::Process& self) {
+    netw.bind(b, self);
+    for (int i = 0; i < 5; ++i) got.push_back(rt.recv(self, b).c);
+    // Absorb the trailing duplicate so it is counted and acked.
+    EXPECT_FALSE(rt.recv_until(self, b, net::kAnyTag, 1.0));
+  });
+  engine.spawn("tx", [&](runtime::Process& self) {
+    netw.bind(a, self);
+    for (const std::int64_t seq : order) {
+      net::Packet p;
+      p.tag = 1;
+      p.c = seq;
+      p.rel_seq = seq;
+      p.wire_bytes = 1000;
+      netw.send(self, a, b, std::move(p));
+    }
+    while (auto ack = netw.recv_until(self, a, net::kAnyTag, 2.0)) {
+      EXPECT_EQ(ack->tag, net::kTagAck);
+      acked.push_back(ack->a);
     }
   });
   engine.run();
-  EXPECT_DOUBLE_EQ(threw_at, 0.5);
-  EXPECT_NE(what.find("recv deadline"), std::string::npos);
+
+  EXPECT_EQ(got, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(registry.counter("net.dup_delivered_total").value(), 2.0);
+  EXPECT_EQ(acked, order);
 }
 
 // ---------------------------------------------------------------------------
