@@ -14,8 +14,9 @@
 #                                    # (tests/test_faults,
 #                                    # tests/test_reliable), test_golden
 #                                    # (incl. the lossy-failover fixtures
-#                                    # of every PS protocol) and a dtrain
-#                                    # checkpoint-recovery run, under
+#                                    # of every PS protocol), a dtrain
+#                                    # checkpoint-recovery run and a dtrain
+#                                    # lossy PS-failover run, under
 #                                    # AddressSanitizer, then
 #                                    # ThreadSanitizer
 #   scripts/check.sh dssp            # DSSP smoke: the ctest label `dssp`
@@ -85,6 +86,10 @@ if [[ "$SANITIZER" == "faults" ]]; then
     # End-to-end checkpoint recovery (RecoveryMode::checkpoint): a worker
     # crash restored from a periodic CRC-checked snapshot, sanitized.
     "$DIR/examples/dtrain" examples/configs/fault_study_checkpoint.ini
+    # End-to-end PS failover over lossy links: a primary's crash ends its
+    # serve loop's deadline receive, and workers polling for replies with
+    # deadline receives fail over and re-send to the backup.
+    "$DIR/examples/dtrain" examples/configs/fault_study_failover.ini
   done
   exit 0
 fi
