@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -239,6 +240,68 @@ TEST(Network, TryRecvAndPoll) {
   EXPECT_TRUE(early_empty);
   EXPECT_TRUE(poll_late);
   EXPECT_TRUE(late_found);
+}
+
+/// One 1000-byte packet from machine 0 to machine 1 at t = 0 against a
+/// recv_until whose deadline is `deadline_of(arrival)`. The receiver calls
+/// recv_until before the send when `receiver_first`, after it otherwise.
+/// Returns what recv_until returned and the receiver's clock after it.
+struct DeadlineRecv {
+  std::optional<Packet> got;
+  double at = -1.0;
+  double arrival = -1.0;
+};
+DeadlineRecv recv_until_against_arrival(double (*deadline_of)(double),
+                                        bool receiver_first) {
+  runtime::SimEngine engine;
+  Network net(engine, two_machine_spec());
+  const int a = net.add_endpoint(0), b = net.add_endpoint(1);
+  // Same arithmetic as the network model: an idle link from t = 0.
+  const double arrival = 0.0 + 1000.0 / 1e9 + 1e-3;
+  DeadlineRecv out;
+  out.arrival = arrival;
+  const auto receive = [&](runtime::Process& self) {
+    net.bind(b, self);
+    if (!receiver_first) self.advance(arrival / 2);  // packet in flight
+    out.got = net.recv_until(self, b, kAnyTag, deadline_of(arrival));
+    out.at = self.now();
+    if (!out.got) (void)net.recv(self, b);  // the packet is still queued
+  };
+  const auto send = [&](runtime::Process& self) {
+    net.bind(a, self);
+    Packet p;
+    p.wire_bytes = 1000;
+    net.send(self, a, b, std::move(p));
+  };
+  if (receiver_first) {
+    engine.spawn("rx", receive);
+    engine.spawn("tx", send);
+  } else {
+    engine.spawn("tx", send);
+    engine.spawn("rx", receive);
+  }
+  engine.run();
+  return out;
+}
+
+TEST(Network, RecvUntilDeliversAPacketLandingAtTheDeadline) {
+  for (const bool receiver_first : {true, false}) {
+    const DeadlineRecv r = recv_until_against_arrival(
+        [](double arrival) { return arrival; }, receiver_first);
+    ASSERT_TRUE(r.got.has_value()) << "receiver_first=" << receiver_first;
+    EXPECT_EQ(r.got->arrival, r.arrival);
+    EXPECT_EQ(r.at, r.arrival);
+  }
+}
+
+TEST(Network, RecvUntilReturnsNothingWhenThePacketLandsAfterTheDeadline) {
+  for (const bool receiver_first : {true, false}) {
+    const DeadlineRecv r = recv_until_against_arrival(
+        [](double arrival) { return std::nextafter(arrival, 0.0); },
+        receiver_first);
+    EXPECT_FALSE(r.got.has_value()) << "receiver_first=" << receiver_first;
+    EXPECT_EQ(r.at, std::nextafter(r.arrival, 0.0));
+  }
 }
 
 TEST(Network, OutOfOrderArrivalsAreDeliveredByArrivalThenSendOrder) {
@@ -663,6 +726,17 @@ TEST(RingAllReduce, BillsExactBytesWhenRanksDoNotDivideTotal) {
   const RingRun run = run_ring_both_ways(
       std::vector<std::vector<float>>(static_cast<std::size_t>(n)), 1, total);
   EXPECT_EQ(run.bytes, static_cast<std::uint64_t>(2) * (n - 1) * total);
+}
+
+TEST(RingAllReduce, BillsOneBytePerChunkWhenTotalIsBelowRanks) {
+  // 3 bytes over 5 ranks: chunk sizes 1,1,1,0,0. Cost-only packets must
+  // still occupy the wire, so every chunk is billed at least one byte:
+  // 2*(n-1) sends per rank, n ranks, one byte each.
+  const int n = 5;
+  const RingRun run = run_ring_both_ways(
+      std::vector<std::vector<float>>(static_cast<std::size_t>(n)), 1, 3);
+  EXPECT_EQ(run.messages, 40u);
+  EXPECT_EQ(run.bytes, 40u);
 }
 
 TEST(RingAllReduce, AbortMidRoundLeavesChunksForTheFlush) {

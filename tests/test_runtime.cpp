@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -457,6 +458,177 @@ TEST(Sim, HeapDispatchMatchesLinearScanReference) {
   }
   engine.run();
   EXPECT_EQ(log, expected);
+}
+
+TEST(Sim, MixedYieldsMatchLinearScanReference) {
+  // Extends the A/B above to every kind of yield: advance (zero included),
+  // wait_event_until, wait_event released by wake, and a wake that moves a
+  // wakeable sleeper earlier (decrease-key). Regular processes run a seeded
+  // script of those steps; daemons cycle through their own script forever
+  // (so a wait_event there can never deadlock the run) and are killed once
+  // the regular processes finish. The reference replays the same scripts on
+  // a linear-scan model of the engine's rules and must predict the dispatch
+  // order and the SimStats counters exactly.
+  enum class Op { advance, wait_until, wait_event, wake };
+  struct Step {
+    Op op;
+    double d;    // duration, or offset from now
+    int target;  // wake only
+  };
+  constexpr int kRegular = 8;
+  constexpr int kDaemons = 4;
+  constexpr int kProcs = kRegular + kDaemons;
+  constexpr int kRegularSteps = 60;
+  constexpr int kDaemonSteps = 16;
+
+  std::mt19937_64 rng(20240601);
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  std::vector<std::vector<Step>> scripts(kProcs);
+  for (int i = 0; i < kProcs; ++i) {
+    const bool daemon = i >= kRegular;
+    const int steps = daemon ? kDaemonSteps : kRegularSteps;
+    for (int k = 0; k < steps; ++k) {
+      const int roll = pick(daemon ? 4 : 3);
+      Step s{Op::advance, 0.25 * pick(5), -1};
+      if (roll == 1) {
+        s = {Op::wait_until, 0.25 * pick(9), -1};
+      } else if (roll == 2) {
+        s = {Op::wake, 0.25 * pick(3), (i + 1 + pick(kProcs - 1)) % kProcs};
+      } else if (roll == 3) {
+        s = {Op::wait_event, 0.0, -1};
+      }
+      scripts[static_cast<std::size_t>(i)].push_back(s);
+    }
+  }
+
+  // Reference: the engine's rules, with a linear scan for the minimum.
+  enum class St { ready, running, blocked, done };
+  struct Ref {
+    St st = St::ready;
+    double t = 0.0;
+    std::uint64_t seq = 0;
+    bool wakeable = false;
+    std::size_t pc = 0;
+  };
+  std::vector<Ref> ref(kProcs);
+  std::uint64_t seq = 0;
+  for (Ref& r : ref) r.seq = ++seq;
+  double now = 0.0;
+  int live_regular = kRegular;
+  SimStats want;
+  want.processes = kProcs;
+  std::vector<std::pair<double, int>> expected;
+  int self_resumes = 0, released = 0, decreased = 0, zero_advances = 0;
+  int last = -1;
+  while (live_regular > 0) {
+    int next = -1;
+    std::uint64_t ready = 0;
+    for (int i = 0; i < kProcs; ++i) {
+      const Ref& r = ref[static_cast<std::size_t>(i)];
+      if (r.st != St::ready) continue;
+      ++ready;
+      const Ref* best =
+          next < 0 ? nullptr : &ref[static_cast<std::size_t>(next)];
+      if (best == nullptr || r.t < best->t ||
+          (r.t == best->t && r.seq < best->seq)) {
+        next = i;
+      }
+    }
+    ASSERT_GE(next, 0) << "reference deadlocked";
+    want.peak_ready = std::max(want.peak_ready, ready);
+    ++want.events;
+    if (next == last) ++self_resumes;
+    last = next;
+    Ref& p = ref[static_cast<std::size_t>(next)];
+    now = std::max(now, p.t);
+    p.st = St::running;
+    p.wakeable = false;
+    expected.emplace_back(now, next);
+    const auto& script = scripts[static_cast<std::size_t>(next)];
+    for (;;) {
+      if (next < kRegular && p.pc == script.size()) {
+        p.st = St::done;
+        --live_regular;
+        break;
+      }
+      const Step s = script[p.pc++ % script.size()];
+      if (s.op == Op::wake) {
+        ++want.wakes;
+        Ref& q = ref[static_cast<std::size_t>(s.target)];
+        const double at = now + s.d;
+        if (q.st == St::blocked) {
+          q = {St::ready, at, ++seq, q.wakeable, q.pc};
+          ++released;
+        } else if (q.st == St::ready && q.wakeable && at < q.t) {
+          q.t = at;
+          q.seq = ++seq;
+          ++decreased;
+        }
+        continue;
+      }
+      if (s.op == Op::wait_event) {
+        p.st = St::blocked;
+        p.wakeable = true;
+      } else {
+        if (s.op == Op::advance && s.d == 0.0) ++zero_advances;
+        p.st = St::ready;
+        p.t = now + s.d;
+        p.seq = ++seq;
+        p.wakeable = s.op == Op::wait_until;
+      }
+      break;
+    }
+  }
+  // Shutdown resumes every unfinished daemon once to deliver ProcessKilled.
+  for (const Ref& r : ref) {
+    if (r.st != St::done) ++want.events;
+  }
+  // The script must exercise every path it claims to.
+  EXPECT_GT(self_resumes, 0);
+  EXPECT_GT(released, 0);
+  EXPECT_GT(decreased, 0);
+  EXPECT_GT(zero_advances, 0);
+
+  SimEngine engine;
+  std::vector<Process*> procs(kProcs);
+  std::vector<std::pair<double, int>> log;
+  for (int i = 0; i < kProcs; ++i) {
+    const bool daemon = i >= kRegular;
+    procs[static_cast<std::size_t>(i)] = &engine.spawn(
+        "p" + std::to_string(i),
+        [&, i, daemon](Process& self) {
+          const auto& script = scripts[static_cast<std::size_t>(i)];
+          log.emplace_back(self.now(), i);
+          for (std::size_t pc = 0; daemon || pc < script.size(); ++pc) {
+            const Step s = script[pc % script.size()];
+            switch (s.op) {
+              case Op::advance:
+                self.advance(s.d);
+                break;
+              case Op::wait_until:
+                self.wait_event_until(self.now() + s.d);
+                break;
+              case Op::wait_event:
+                self.wait_event();
+                break;
+              case Op::wake:
+                self.engine().wake(*procs[static_cast<std::size_t>(s.target)],
+                                   self.now() + s.d);
+                continue;
+            }
+            log.emplace_back(self.now(), i);
+          }
+        },
+        daemon);
+  }
+  engine.run();
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.stats().events, want.events);
+  EXPECT_EQ(engine.stats().wakes, want.wakes);
+  EXPECT_EQ(engine.stats().peak_ready, want.peak_ready);
+  EXPECT_EQ(engine.stats().processes, want.processes);
 }
 
 TEST(Sim, WakeReordersWakeableSleeperAmongPeers) {
