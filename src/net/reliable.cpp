@@ -43,7 +43,7 @@ ReliableTransport::Peer& ReliableTransport::peer(int ep, int remote) {
       peers.begin(), peers.end(), remote,
       [](const Peer& p, int id) { return p.ep < id; });
   if (it == peers.end() || it->ep != remote) {
-    it = peers.insert(it, Peer{.ep = remote});
+    it = peers.insert(it, Peer{.ep = remote, .parked = {}});
   }
   return *it;
 }
