@@ -131,14 +131,20 @@ std::size_t fiber_stack_bytes() {
   return bytes;
 }
 
+// The globals' address is fixed per OS thread; fibers run only on the
+// thread that drives their engine, so one lookup per thread suffices.
+__cxxabiv1::__cxa_eh_globals* eh_globals() {
+  thread_local __cxxabiv1::__cxa_eh_globals* const globals =
+      __cxxabiv1::__cxa_get_globals();
+  return globals;
+}
+
 void eh_save(detail::EhState& into) {
-  std::memcpy(into.bytes, __cxxabiv1::__cxa_get_globals(),
-              sizeof(__cxxabiv1::__cxa_eh_globals));
+  std::memcpy(into.bytes, eh_globals(), sizeof(__cxxabiv1::__cxa_eh_globals));
 }
 
 void eh_load(const detail::EhState& from) {
-  std::memcpy(__cxxabiv1::__cxa_get_globals(), from.bytes,
-              sizeof(__cxxabiv1::__cxa_eh_globals));
+  std::memcpy(eh_globals(), from.bytes, sizeof(__cxxabiv1::__cxa_eh_globals));
 }
 
 }  // namespace
@@ -250,9 +256,8 @@ void Process::advance(double seconds) {
   ready_time_ = engine_->now_ + seconds;
   ready_seq_ = ++engine_->seq_counter_;
   wakeable_ = false;
-  engine_->heap_push_locked(*this);
-  if (!engine_->try_self_resume_locked(*this)) {
-    engine_->suspend(lock, *this, engine_->pick_handoff_locked());
+  if (Process* const next = engine_->requeue_locked(*this); next != this) {
+    engine_->suspend(lock, *this, next);
     wakeable_ = false;
   }
   state_ = State::running;
@@ -308,9 +313,8 @@ void Process::wait_event_until(double at) {
   ready_time_ = std::max(at, engine_->now_);
   ready_seq_ = ++engine_->seq_counter_;
   wakeable_ = true;
-  engine_->heap_push_locked(*this);
-  if (!engine_->try_self_resume_locked(*this)) {
-    engine_->suspend(lock, *this, engine_->pick_handoff_locked());
+  if (Process* const next = engine_->requeue_locked(*this); next != this) {
+    engine_->suspend(lock, *this, next);
   }
   wakeable_ = false;
   state_ = State::running;
@@ -459,17 +463,28 @@ Process* SimEngine::pick_handoff_locked() {
   return next;
 }
 
-bool SimEngine::try_self_resume_locked(Process& p) {
-  // `p` was just pushed, so the heap is non-empty. The root is the true
-  // earliest event (seqs are unique, the order is total), so continuing to
-  // run `p` is exactly what a full yield-and-pick would have chosen.
-  if (shutdown_ || heap_.front() != &p) return false;
-  stats_.peak_ready =
-      std::max(stats_.peak_ready, static_cast<std::uint64_t>(heap_.size()));
-  heap_pop_min_locked();
-  now_ = std::max(now_, p.ready_time_);
+Process* SimEngine::requeue_locked(Process& p) {
+  if (shutdown_ || failed_ != nullptr || live_regular_ == 0) {
+    heap_push_locked(p);
+    running_ = nullptr;
+    return nullptr;
+  }
+  // What a push followed by pick_handoff_locked would sample and count.
+  stats_.peak_ready = std::max(stats_.peak_ready,
+                               static_cast<std::uint64_t>(heap_.size() + 1));
   ++stats_.events;
-  return true;
+  // Keys are unique, so `p` before the root means `p` is the minimum and
+  // keeps running; otherwise the root runs and `p` takes its slot.
+  Process* next = &p;
+  if (!heap_.empty() && heap_before(*heap_.front(), p)) {
+    next = heap_.front();
+    next->heap_index_ = -1;
+    heap_.front() = &p;
+    heap_sift_down_locked(0);
+    running_ = next;
+  }
+  now_ = std::max(now_, next->ready_time_);
+  return next;
 }
 
 #if DT_SIM_FIBERS

@@ -39,8 +39,10 @@
 // bit-identical across them. Two shortcuts keep the hot path lean without
 // changing the schedule: a yielding process hands the baton DIRECTLY to the
 // next ready process (the engine context only wakes on failure,
-// completion, or deadlock), and a process that is still the earliest event
-// after yielding simply keeps running with no switch at all.
+// completion, or deadlock), and a process that re-queues itself (advance,
+// wait_event_until) costs one heap operation at most — none when it is
+// still the earliest event and simply keeps running with no switch, one
+// sift-down when it swaps places with the heap root.
 //
 // Compute offload (advance_compute): the *virtual* schedule stays strictly
 // sequential, but the *real* numerics of a modeled busy interval may run on
@@ -278,10 +280,12 @@ class SimEngine {
   // (shutdown, failure, no regular process left, nothing ready).
   Process* pick_handoff_locked();
 
-  // Fast path: `p` just became ready; if it is still the earliest event,
-  // pop it and let it keep running without a context switch. Returns true
-  // on success.
-  bool try_self_resume_locked(Process& p);
+  // Re-queues the running process `p`, whose key was just set, and picks
+  // who runs next exactly as a push plus pick_handoff_locked would: `p`
+  // itself when it is still the earliest event (heap untouched, no switch),
+  // otherwise the heap root, which `p` replaces with one sift-down. Stop
+  // conditions push `p` and return nullptr (the engine context).
+  Process* requeue_locked(Process& p);
 
   // Mechanism-specific control transfer. suspend(): the running process
   // stops and `to` (nullptr = engine context) continues; returns when this
