@@ -244,39 +244,39 @@ void Network::transfer(runtime::Process& self, int src_endpoint,
 bool Network::poll(const runtime::Process& self, int endpoint_id,
                    int tag) const {
   (void)endpoint(endpoint_id);  // validates the id
-  const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
-  return s != Mailboxes::kNone && mailboxes_.at(s).arrival <= self.now();
+  return landed(self, mailboxes_.find(endpoint_id, tag));
 }
 
 std::optional<Packet> Network::try_recv(runtime::Process& self,
                                         int endpoint_id, int tag) {
   Endpoint& ep = endpoint(endpoint_id);
   common::check(ep.owner == &self, "Network::try_recv by non-owner process");
-  // The queue is sorted by arrival, so the earliest matching packet is the
-  // only candidate: deliverable iff it has already landed.
   const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
-  if (s == Mailboxes::kNone || mailboxes_.at(s).arrival > self.now()) {
-    return std::nullopt;
-  }
-  if (in_flight_ != nullptr) in_flight_->add(-1.0);
-  return mailboxes_.take(endpoint_id, s);
+  if (!landed(self, s)) return std::nullopt;
+  return take(endpoint_id, s);
 }
 
-double Network::earliest_arrival(int endpoint_id, int tag) const {
-  const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
-  return s == Mailboxes::kNone ? -1.0 : mailboxes_.at(s).arrival;
+bool Network::landed(const runtime::Process& self, Mailboxes::Slot s) const {
+  // The queue is sorted by arrival, so the earliest matching packet is the
+  // only candidate: deliverable iff it has already landed.
+  return s != Mailboxes::kNone && mailboxes_.at(s).arrival <= self.now();
+}
+
+Packet Network::take(int endpoint_id, Mailboxes::Slot s) {
+  if (in_flight_ != nullptr) in_flight_->add(-1.0);
+  return mailboxes_.take(endpoint_id, s);
 }
 
 Packet Network::recv(runtime::Process& self, int endpoint_id, int tag) {
   Endpoint& ep = endpoint(endpoint_id);
   common::check(ep.owner == &self, "Network::recv by non-owner process");
   for (;;) {
-    if (auto pkt = try_recv(self, endpoint_id, tag)) return std::move(*pkt);
+    const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
+    if (landed(self, s)) return take(endpoint_id, s);
     // Earliest matching in-flight packet, if any: sleep until it lands but
     // stay wakeable in case an earlier one is sent meanwhile.
-    const double earliest = earliest_arrival(endpoint_id, tag);
-    if (earliest >= 0.0) {
-      self.wait_event_until(earliest);
+    if (s != Mailboxes::kNone) {
+      self.wait_event_until(mailboxes_.at(s).arrival);
     } else {
       self.wait_event();
     }
@@ -289,14 +289,14 @@ std::optional<Packet> Network::recv_until(runtime::Process& self,
   Endpoint& ep = endpoint(endpoint_id);
   common::check(ep.owner == &self, "Network::recv_until by non-owner process");
   for (;;) {
-    if (auto pkt = try_recv(self, endpoint_id, tag)) return pkt;
+    const Mailboxes::Slot s = mailboxes_.find(endpoint_id, tag);
+    if (landed(self, s)) return take(endpoint_id, s);
     if (self.now() >= deadline) return std::nullopt;
     // Sleep until the earliest matching in-flight arrival or the deadline,
     // whichever comes first; stay wakeable for earlier sends meanwhile.
-    const double earliest = earliest_arrival(endpoint_id, tag);
-    const double until =
-        earliest >= 0.0 ? std::min(earliest, deadline) : deadline;
-    self.wait_event_until(until);
+    self.wait_event_until(s != Mailboxes::kNone
+                              ? std::min(mailboxes_.at(s).arrival, deadline)
+                              : deadline);
   }
 }
 

@@ -88,7 +88,7 @@ class Network {
                                  int tag = kAnyTag);
 
   /// Blocking receive with a virtual-time deadline: returns the earliest
-  /// matching packet delivered strictly before `deadline`, or nullopt with
+  /// matching packet delivered at or before `deadline`, or nullopt with
   /// `self` advanced to `deadline`. The timed primitive under
   /// ReliableTransport's ack waits and its own recv_until.
   std::optional<Packet> recv_until(runtime::Process& self, int endpoint,
@@ -166,9 +166,12 @@ class Network {
   Endpoint& endpoint(int id);
   const Endpoint& endpoint(int id) const;
 
-  /// Arrival time of the earliest packet queued at `endpoint_id` matching
-  /// `tag` (delivered or in flight), or -1 when there is none.
-  [[nodiscard]] double earliest_arrival(int endpoint_id, int tag) const;
+  /// True when slot `s` (a Mailboxes::find result) holds a packet that has
+  /// arrived by `self`'s now.
+  [[nodiscard]] bool landed(const runtime::Process& self,
+                            Mailboxes::Slot s) const;
+  /// Takes the packet in slot `s` of `endpoint_id` off the wire.
+  Packet take(int endpoint_id, Mailboxes::Slot s);
 
   runtime::SimEngine& engine_;
   ClusterSpec spec_;

@@ -101,8 +101,8 @@ class ReliableTransport {
   Packet recv(runtime::Process& self, int ep, int tag = kAnyTag);
 
   /// recv with a virtual-time deadline, the contract of
-  /// Network::recv_until: the earliest matching message delivered before
-  /// `deadline`, or nullopt with `self` advanced to `deadline`.
+  /// Network::recv_until: the earliest matching message delivered at or
+  /// before `deadline`, or nullopt with `self` advanced to `deadline`.
   std::optional<Packet> recv_until(runtime::Process& self, int ep, int tag,
                                    double deadline);
 
