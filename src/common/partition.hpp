@@ -32,17 +32,27 @@ struct ChunkRange {
   return {begin, begin + len};
 }
 
-/// Wire bytes of chunk `index`: its chunk_range share of the total, so the
+/// Wire bytes of each chunk: its chunk_range share of the total, so the
 /// per-chunk bills sum to exactly `total` when it is >= parts (a uniform
 /// total/n would undercount by up to n-1 bytes per ring lap whenever parts
 /// does not divide the total). Never bills zero: cost-only packets must
-/// still occupy the wire.
-[[nodiscard]] inline std::uint64_t chunk_wire_bytes(std::uint64_t total,
-                                                    int parts,
-                                                    int index) noexcept {
-  const ChunkRange r =
-      chunk_range(static_cast<std::size_t>(total), parts, index);
-  return std::max<std::uint64_t>(1, r.size());
-}
+/// still occupy the wire. The split is computed once, at construction.
+class ChunkBills {
+ public:
+  ChunkBills(std::uint64_t total, int parts) noexcept
+      : base_(total / static_cast<std::uint64_t>(parts)),
+        extra_(total % static_cast<std::uint64_t>(parts)) {}
+
+  /// Bill of chunk `index` (0 <= index < parts).
+  [[nodiscard]] std::uint64_t operator()(int index) const noexcept {
+    const std::uint64_t len =
+        base_ + (static_cast<std::uint64_t>(index) < extra_ ? 1 : 0);
+    return std::max<std::uint64_t>(1, len);
+  }
+
+ private:
+  std::uint64_t base_;   // chunk_range's split of the total
+  std::uint64_t extra_;
+};
 
 }  // namespace dt::common

@@ -10,7 +10,6 @@ namespace dt::net {
 // The chunk split lives in common/partition.hpp so FSDP and the sub-slot
 // PS sharding plan carve ranges bit-identically to the ring collectives.
 using common::chunk_range;
-using common::chunk_wire_bytes;
 using ChunkRange = common::ChunkRange;
 
 std::optional<Packet> recv_in_epoch(runtime::Process& self, Network& net,
@@ -39,6 +38,7 @@ ElasticStatus ring_allreduce(runtime::Process& self, const Communicator& comm,
   const int me = comm.my_rank;
   const int my_ep = comm.my_endpoint();
   const int right_ep = comm.endpoints[static_cast<std::size_t>((me + 1) % n)];
+  const common::ChunkBills bill(total_wire_bytes, n);
 
   // One ring step: send chunk `send_chunk` to the right neighbour, receive
   // chunk `recv_chunk` from the left one and add it into `data` (`add`) or
@@ -46,7 +46,7 @@ ElasticStatus ring_allreduce(runtime::Process& self, const Communicator& comm,
   const auto step = [&](int tag, int send_chunk, int recv_chunk, bool add) {
     Packet out;
     out.tag = tag;
-    out.wire_bytes = chunk_wire_bytes(total_wire_bytes, n, send_chunk);
+    out.wire_bytes = bill(send_chunk);
     out.a = send_chunk;
     out.c = epoch;
     if (!data.empty()) {
@@ -75,19 +75,22 @@ ElasticStatus ring_allreduce(runtime::Process& self, const Communicator& comm,
     return true;
   };
 
-  // Reduce-Scatter: after step s, rank r holds the partial sum of chunk
-  // (r - s - 1 mod n) over s+2 ranks; after n-1 steps rank r owns the fully
-  // reduced chunk (r + 1 mod n).
-  for (int s = 0; s < n - 1; ++s) {
-    if (!step(tag_base, (me - s + n) % n, (me - s - 1 + n) % n, true)) {
+  // Step s sends chunk (me - s mod n) and receives chunk (me - s - 1 mod n),
+  // so each step's received chunk is the next step's sent one. Reduce-
+  // Scatter (steps 0..n-2): after step s, rank r holds the partial sum of
+  // chunk (r - s - 1 mod n) over s+2 ranks, and after n-1 steps it owns the
+  // fully reduced chunk (r + 1 mod n). All-Gather (steps n-1..2n-3) then
+  // circulates the reduced chunks on the next tag.
+  int send_chunk = me;
+  int recv_chunk = me == 0 ? n - 1 : me - 1;
+  for (int s = 0; s < 2 * (n - 1); ++s) {
+    const bool reduce = s < n - 1;
+    if (!step(reduce ? tag_base : tag_base + 1, send_chunk, recv_chunk,
+              reduce)) {
       return {false};
     }
-  }
-  // All-Gather: circulate the reduced chunks.
-  for (int s = 0; s < n - 1; ++s) {
-    if (!step(tag_base + 1, (me + 1 - s + n) % n, (me - s + n) % n, false)) {
-      return {false};
-    }
+    send_chunk = recv_chunk;
+    recv_chunk = recv_chunk == 0 ? n - 1 : recv_chunk - 1;
   }
   return {true};
 }
