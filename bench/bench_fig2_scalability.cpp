@@ -60,10 +60,11 @@ int main(int argc, char** argv) {
   const campaign::Aggregate agg = campaign::Aggregate::build(
       result.records, spec.metric, result.functional);
 
-  for (const std::string& model : {"resnet50", "vgg16"}) {
-    for (const std::string& gbps : {"10", "56"}) {
-      common::Table table("Figure 2 — speedup vs workers: " + model + ", " +
-                          gbps + " Gbps");
+  for (const char* model : {"resnet50", "vgg16"}) {
+    for (const char* gbps : {"10", "56"}) {
+      const std::string title =
+          std::string("speedup vs workers: ") + model + ", " + gbps + " Gbps";
+      common::Table table("Figure 2 — " + title);
       std::vector<std::string> header = {"# workers"};
       for (const std::string& a : algo_labels) header.push_back(a);
       table.set_header(std::move(header));
@@ -84,8 +85,7 @@ int main(int argc, char** argv) {
         table.add_row(std::move(row));
       }
       bench::emit(table, args);
-      common::LineChart chart(
-          "speedup vs workers: " + model + ", " + gbps + " Gbps", 72, 16);
+      common::LineChart chart(title, 72, 16);
       chart.set_axes("workers", "speedup");
       for (const std::string& a : algo_labels) {
         chart.add_series(a, std::move(curves[a]));

@@ -88,7 +88,7 @@ TEST(Experiment, AlgoNamesParseFlexibly) {
   EXPECT_EQ(core::algo_from_name("ar_sgd"), Algo::arsgd);
   EXPECT_EQ(core::algo_from_name("GoSGD"), Algo::gosgd);
   EXPECT_EQ(core::algo_from_name("D-PSGD"), Algo::dpsgd);
-  EXPECT_THROW(core::algo_from_name("hogwild"), common::Error);
+  EXPECT_THROW((void)core::algo_from_name("hogwild"), common::Error);
 }
 
 TEST(Experiment, FromIniFillsConfig) {
