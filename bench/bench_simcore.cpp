@@ -56,7 +56,6 @@ struct CaseResult {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   std::uint64_t wakes = 0;
-  std::uint64_t peak_ready = 0;
   std::uint64_t processes = 0;
   std::uint64_t packets = 0;
   std::uint64_t peak_rss_kb = 0;  // process-wide high-water mark so far
@@ -87,7 +86,6 @@ CaseResult run_case(const std::string& name, dt::core::Algo algo, int workers,
           .count();
   cr.events = r.sim_events;
   cr.wakes = r.sim_wakes;
-  cr.peak_ready = r.sim_peak_ready;
   cr.processes = session.engine.stats().processes;
   cr.packets = r.wire_messages;
   cr.peak_rss_kb = proc_status_kb("VmHWM");
@@ -157,13 +155,11 @@ int main(int argc, char** argv) {
   common::Table table("simulator core throughput (host-side; not part of "
                       "deterministic results)");
   table.set_header({"case", "virtual s", "wall s", "events", "wakes",
-                    "peak ready", "packets", "events/sec", "ns/event",
-                    "peak RSS MB"});
+                    "packets", "events/sec", "ns/event", "peak RSS MB"});
   for (const CaseResult& r : results) {
     table.add_row({r.name, common::fmt(r.virtual_s, 2),
                    common::fmt(r.wall_s, 3), std::to_string(r.events),
-                   std::to_string(r.wakes), std::to_string(r.peak_ready),
-                   std::to_string(r.packets),
+                   std::to_string(r.wakes), std::to_string(r.packets),
                    common::fmt(r.events_per_sec(), 0),
                    common::fmt(r.ns_per_event(), 0),
                    common::fmt(static_cast<double>(r.peak_rss_kb) / 1024.0,
@@ -182,7 +178,7 @@ int main(int argc, char** argv) {
     if (i) out << ",";
     out << "{\"name\":\"" << r.name << "\",\"virtual_s\":" << r.virtual_s
         << ",\"wall_s\":" << r.wall_s << ",\"events\":" << r.events
-        << ",\"wakes\":" << r.wakes << ",\"peak_ready\":" << r.peak_ready
+        << ",\"wakes\":" << r.wakes
         << ",\"processes\":" << r.processes << ",\"packets\":" << r.packets
         << ",\"events_per_sec\":" << r.events_per_sec()
         << ",\"ns_per_event\":" << r.ns_per_event()

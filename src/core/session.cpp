@@ -610,7 +610,6 @@ metrics::RunResult Session::run() {
   }
   result.sim_events = engine.stats().events;
   result.sim_wakes = engine.stats().wakes;
-  result.sim_peak_ready = engine.stats().peak_ready;
   if (spans_) {
     // Endpoint registration is deferred to here so launcher-created
     // endpoints (collectives, backups) are covered too; edges recorded

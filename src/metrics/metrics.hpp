@@ -201,7 +201,6 @@ struct RunResult {
   int host_compute_threads = 0;   // resolved advance_compute pool size
   std::uint64_t sim_events = 0;       // scheduler resumptions
   std::uint64_t sim_wakes = 0;        // SimEngine::wake calls
-  std::uint64_t sim_peak_ready = 0;   // peak simultaneously-ready processes
 
   /// Samples per second of virtual time (paper: "images/sec").
   [[nodiscard]] double throughput() const noexcept {

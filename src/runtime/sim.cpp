@@ -441,8 +441,6 @@ void SimEngine::heap_remove_locked(Process& p) {
 // ---- dispatch -------------------------------------------------------------------
 
 Process* SimEngine::pop_next_locked() {
-  stats_.peak_ready =
-      std::max(stats_.peak_ready, static_cast<std::uint64_t>(heap_.size()));
   if (heap_.empty()) return nullptr;
   return heap_pop_min_locked();
 }
@@ -469,9 +467,7 @@ Process* SimEngine::requeue_locked(Process& p) {
     running_ = nullptr;
     return nullptr;
   }
-  // What a push followed by pick_handoff_locked would sample and count.
-  stats_.peak_ready = std::max(stats_.peak_ready,
-                               static_cast<std::uint64_t>(heap_.size() + 1));
+  // What a push followed by pick_handoff_locked would count.
   ++stats_.events;
   // Keys are unique, so `p` before the root means `p` is the minimum and
   // keeps running; otherwise the root runs and `p` takes its slot.

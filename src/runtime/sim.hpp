@@ -19,7 +19,7 @@
 // linear scan — the property that lets runs scale to thousands of virtual
 // workers. wake() moving a wakeable sleeper earlier is a decrease-key
 // (sift-up); liveness is an O(1) counter of unfinished non-daemon
-// processes; peak_ready is the high-water mark of the heap size.
+// processes.
 //
 // Execution backend: on x86-64 Linux each process is a fiber — all
 // processes share the OS thread that called run(), and a context switch is
@@ -101,7 +101,6 @@ struct SimStats {
   std::uint64_t events = 0;      // process resumptions (scheduler picks)
   std::uint64_t wakes = 0;       // wake() calls
   std::uint64_t processes = 0;   // processes ever spawned
-  std::uint64_t peak_ready = 0;  // max simultaneously-ready processes
 };
 
 #if DT_SIM_FIBERS
@@ -270,8 +269,7 @@ class SimEngine {
   void heap_sift_up_locked(std::size_t i);
   void heap_sift_down_locked(std::size_t i);
 
-  // Samples peak_ready and pops the earliest ready process (nullptr if
-  // none).
+  // Pops the earliest ready process (nullptr if none).
   Process* pop_next_locked();
 
   // Picks who runs after the current process gives up the baton: the next
