@@ -3,8 +3,12 @@
 // functional/cost-only mode boundary.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "cost/profiles.hpp"
 #include "nn/layers.hpp"
@@ -112,6 +116,66 @@ TEST(Workload, ElasticPullMovesTowardAnchor) {
   const float before = wl.param_slot(0, 0)[0];
   wl.elastic_pull(0, anchor, 0.5f);
   EXPECT_NEAR(wl.param_slot(0, 0)[0], before + 0.5f * (2.0f - before), 1e-6);
+}
+
+// Parameters over several binades, so a fused multiply-add or a
+// reordered sum shows in the last bits.
+std::vector<tensor::Tensor> spread_params(const Workload& wl, int worker,
+                                          std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<tensor::Tensor> params = wl.params(worker);
+  for (tensor::Tensor& t : params) {
+    for (float& v : t.data()) {
+      v = static_cast<float>(std::ldexp(
+          rng.normal(), static_cast<int>(rng.uniform_int(-6, 6))));
+    }
+  }
+  return params;
+}
+
+// a * b rounded once to float: the double product of two floats is exact.
+float rounded_product(float a, float b) {
+  return static_cast<float>(static_cast<double>(a) * b);
+}
+
+bool same_bits(float x, float y) {
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+// blend_params and elastic_pull are vectorized, yet still multiply, multiply
+// and add with one rounding each; the decentralized goldens depend on it.
+TEST(Workload, BlendAndElasticPullMatchScalarExpressionsBitForBit) {
+  Workload wl = small_workload(2);
+  const std::vector<tensor::Tensor> mine = spread_params(wl, 0, 31);
+  const std::vector<tensor::Tensor> other = spread_params(wl, 1, 32);
+  constexpr float kWeight = 0.3f, kAlpha = 0.7f;
+
+  wl.set_params(0, mine);
+  wl.blend_params(0, other, kWeight);
+  const float keep = 1.0f - kWeight;
+  std::int64_t checked = 0, mismatched = 0;
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const auto p = mine[i].data(), o = other[i].data();
+    const auto got = wl.param_slot(0, i).data();
+    for (std::size_t j = 0; j < p.size(); ++j, ++checked) {
+      const float want =
+          rounded_product(keep, p[j]) + rounded_product(kWeight, o[j]);
+      if (!same_bits(got[j], want)) ++mismatched;
+    }
+  }
+
+  wl.set_params(0, mine);
+  wl.elastic_pull(0, other, kAlpha);
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const auto p = mine[i].data(), a = other[i].data();
+    const auto got = wl.param_slot(0, i).data();
+    for (std::size_t j = 0; j < p.size(); ++j, ++checked) {
+      const float want = p[j] + rounded_product(kAlpha, a[j] - p[j]);
+      if (!same_bits(got[j], want)) ++mismatched;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(mismatched, 0) << "of " << checked;
 }
 
 TEST(Workload, ApplyGradientsMovesAgainstGradient) {
