@@ -22,10 +22,11 @@
 // each dot product in eight lanes, lane l chaining the products of
 // j = l, l+8, l+16, ... in order from +0, combines them as
 // ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then stores d or
-// C + d. The register-tiled kernels (ops.cpp) reproduce these sequences bit
-// for bit, so results do not depend on tile shapes, vector width, host
-// core count or the runtime's compute_threads; tests/test_tensor.cpp
-// (GemmContract) checks them against the plain loops.
+// C + d. The register-tiled kernels (gemm_kernels.hpp) reproduce these
+// sequences bit for bit, so results do not depend on tile shapes, vector
+// width, host core count or the runtime's compute_threads;
+// tests/test_tensor.cpp (GemmContract) checks them against the plain loops
+// at both tile widths.
 #pragma once
 
 #include <cstdint>

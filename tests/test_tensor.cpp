@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -352,7 +354,7 @@ TEST(Ops, TopKBadKThrows) {
 // it lands: the loops below spell that contract out one element at a time,
 // and every kernel must reproduce them exactly. This file is compiled with
 // the kernel translation unit's flags (tests/CMakeLists.txt), so __FMA__
-// means the same thing here as in ops.cpp.
+// means the same thing here as in ops.cpp and gemm_kernels.hpp.
 
 float fmadd(float a, float b, float c) {
 #ifdef __FMA__
@@ -411,6 +413,40 @@ void fma_ref_nt(const float* a, const float* b, float* c, std::int64_t m,
 using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
                         std::int64_t, std::int64_t, bool);
 
+// A GEMM entry point checked against the contract. Both tile widths of
+// gemm_kernels.hpp are instantiated whatever the build's target: a width
+// the target has no single register for runs on narrower ones, with the
+// same arithmetic.
+struct NamedKernel {
+  const char* name;
+  GemmFn fn;
+};
+
+const std::vector<NamedKernel> kNnKernels = {
+    {"gemm_nn", gemm_nn},
+    {"8-float gemm_nn", kernels::gemm_nn<kernels::v8f>},
+    {"16-float gemm_nn", kernels::gemm_nn<kernels::v16f>}};
+const std::vector<NamedKernel> kTnKernels = {
+    {"gemm_tn", gemm_tn},
+    {"8-float gemm_tn", kernels::gemm_tn<kernels::v8f>},
+    {"16-float gemm_tn", kernels::gemm_tn<kernels::v16f>}};
+const std::vector<NamedKernel> kNtKernels = {
+    {"gemm_nt", gemm_nt},
+    {"8-float gemm_nt", kernels::gemm_nt<kernels::v8f>},
+    {"16-float gemm_nt", kernels::gemm_nt<kernels::v16f>}};
+
+// (d0, d1, d2) are a kernel's three dimension arguments in order; a layout
+// picks each operand's extent from them.
+struct GemmLayout {
+  int a_rows, a_cols, b_rows, b_cols, c_rows, c_cols;
+};
+// gemm_nn(a, b, c, m, k, n): A m x k, B k x n, C m x n.
+constexpr GemmLayout kNnLayout = {0, 1, 1, 2, 0, 2};
+// gemm_tn(a, b, c, m, k, n): A m x k, B m x n, C k x n.
+constexpr GemmLayout kTnLayout = {0, 1, 0, 2, 1, 2};
+// gemm_nt(a, b, c, m, n, k): A m x n, B k x n, C m x k.
+constexpr GemmLayout kNtLayout = {0, 1, 2, 1, 0, 2};
+
 // Values spread over nine binades with signed zeros mixed in, so a kernel
 // that reorders, splits or un-fuses any chain shows up in the last bits.
 std::vector<float> contract_values(common::Rng& rng, std::int64_t count) {
@@ -432,17 +468,54 @@ std::int64_t log_uniform_dim(common::Rng& rng, std::int64_t hi) {
   return std::clamp<std::int64_t>(static_cast<std::int64_t>(x), 1, hi);
 }
 
-// Runs `kernel` and `ref` on kShapes seeded shapes, with accumulate off and
-// on, and counts output elements whose bits differ. (d0, d1, d2) are the
-// kernel's three dimension arguments in order; `c_rows`/`c_cols` pick the
-// output's extent from them.
-void expect_matches_fma_reference(GemmFn kernel, GemmFn ref, int a_rows,
-                                  int a_cols, int b_rows, int b_cols,
-                                  int c_rows, int c_cols, std::uint64_t seed) {
-  constexpr int kShapes = 1000;
-  common::Rng rng(seed);
+// Output elements compared with the reference (once per shape and
+// accumulate setting), and those whose bits differ in any kernel.
+struct ContractTally {
   std::int64_t checked = 0, mismatched = 0;
   std::string first_failure;
+};
+
+// Runs `ref` and every kernel on one shape with seeded operands, with
+// accumulate off and on.
+void check_shape(const std::vector<NamedKernel>& kernels, GemmFn ref,
+                 const GemmLayout& l, const std::int64_t (&d)[3],
+                 common::Rng& rng, ContractTally& tally) {
+  const std::vector<float> a = contract_values(rng, d[l.a_rows] * d[l.a_cols]);
+  const std::vector<float> b = contract_values(rng, d[l.b_rows] * d[l.b_cols]);
+  const std::vector<float> c0 =
+      contract_values(rng, d[l.c_rows] * d[l.c_cols]);
+  for (bool accumulate : {false, true}) {
+    std::vector<float> want = c0;
+    ref(a.data(), b.data(), want.data(), d[0], d[1], d[2], accumulate);
+    tally.checked += static_cast<std::int64_t>(want.size());
+    for (const NamedKernel& kernel : kernels) {
+      std::vector<float> got = c0;
+      kernel.fn(a.data(), b.data(), got.data(), d[0], d[1], d[2], accumulate);
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        if (std::bit_cast<std::uint32_t>(got[e]) ==
+            std::bit_cast<std::uint32_t>(want[e])) {
+          continue;
+        }
+        if (tally.mismatched++ == 0) {
+          tally.first_failure =
+              std::string(kernel.name) + " shape (" + std::to_string(d[0]) +
+              ", " + std::to_string(d[1]) + ", " + std::to_string(d[2]) +
+              ") accumulate=" + std::to_string(accumulate) + " element " +
+              std::to_string(e);
+        }
+      }
+    }
+  }
+}
+
+// Runs the kernels and `ref` on kShapes seeded shapes and counts output
+// elements whose bits differ.
+void expect_matches_fma_reference(const std::vector<NamedKernel>& kernels,
+                                  GemmFn ref, const GemmLayout& layout,
+                                  std::uint64_t seed) {
+  constexpr int kShapes = 1000;
+  common::Rng rng(seed);
+  ContractTally tally;
   for (int s = 0; s < kShapes; ++s) {
     std::int64_t d[3] = {log_uniform_dim(rng, 300), log_uniform_dim(rng, 300),
                          log_uniform_dim(rng, 300)};
@@ -462,45 +535,60 @@ void expect_matches_fma_reference(GemmFn kernel, GemmFn ref, int a_rows,
       default:
         break;
     }
-    const std::vector<float> a = contract_values(rng, d[a_rows] * d[a_cols]);
-    const std::vector<float> b = contract_values(rng, d[b_rows] * d[b_cols]);
-    const std::vector<float> c0 = contract_values(rng, d[c_rows] * d[c_cols]);
-    for (bool accumulate : {false, true}) {
-      std::vector<float> got = c0, want = c0;
-      kernel(a.data(), b.data(), got.data(), d[0], d[1], d[2], accumulate);
-      ref(a.data(), b.data(), want.data(), d[0], d[1], d[2], accumulate);
-      for (std::size_t e = 0; e < got.size(); ++e) {
-        ++checked;
-        if (std::bit_cast<std::uint32_t>(got[e]) ==
-            std::bit_cast<std::uint32_t>(want[e])) {
-          continue;
-        }
-        if (mismatched++ == 0) {
-          first_failure = "shape (" + std::to_string(d[0]) + ", " +
-                          std::to_string(d[1]) + ", " + std::to_string(d[2]) +
-                          ") accumulate=" + std::to_string(accumulate) +
-                          " element " + std::to_string(e);
-        }
-      }
-    }
+    check_shape(kernels, ref, layout, d, rng, tally);
   }
-  EXPECT_GT(checked, 1'000'000);
-  EXPECT_EQ(mismatched, 0) << "first differing output: " << first_failure;
+  EXPECT_GT(tally.checked, 1'000'000);
+  EXPECT_EQ(tally.mismatched, 0)
+      << "first differing output: " << tally.first_failure;
 }
 
 TEST(GemmContract, NnMatchesExplicitFmaReference) {
-  // gemm_nn(a, b, c, m, k, n): A m x k, B k x n, C m x n.
-  expect_matches_fma_reference(gemm_nn, fma_ref_nn, 0, 1, 1, 2, 0, 2, 101);
+  expect_matches_fma_reference(kNnKernels, fma_ref_nn, kNnLayout, 101);
 }
 
 TEST(GemmContract, TnMatchesExplicitFmaReference) {
-  // gemm_tn(a, b, c, m, k, n): A m x k, B m x n, C k x n.
-  expect_matches_fma_reference(gemm_tn, fma_ref_tn, 0, 1, 0, 2, 1, 2, 202);
+  expect_matches_fma_reference(kTnKernels, fma_ref_tn, kTnLayout, 202);
 }
 
 TEST(GemmContract, NtMatchesExplicitFmaReference) {
-  // gemm_nt(a, b, c, m, n, k): A m x n, B k x n, C m x k.
-  expect_matches_fma_reference(gemm_nt, fma_ref_nt, 0, 1, 2, 1, 0, 2, 303);
+  expect_matches_fma_reference(kNtKernels, fma_ref_nt, kNtLayout, 303);
+}
+
+// The functional MLP's layers (32 -> 64 -> 64 -> 10, batch 16), each as
+// forward (gemm_nn), weight gradient (gemm_tn) and input gradient (gemm_nt).
+TEST(GemmContract, MlpShapesMatchExplicitFmaReference) {
+  common::Rng rng(404);
+  ContractTally tally;
+  constexpr std::int64_t kBatch = 16;
+  for (const auto& [in, out] :
+       {std::pair<std::int64_t, std::int64_t>{32, 64}, {64, 64}, {64, 10}}) {
+    check_shape(kNnKernels, fma_ref_nn, kNnLayout, {kBatch, in, out}, rng,
+                tally);
+    check_shape(kTnKernels, fma_ref_tn, kTnLayout, {kBatch, in, out}, rng,
+                tally);
+    check_shape(kNtKernels, fma_ref_nt, kNtLayout, {kBatch, out, in}, rng,
+                tally);
+  }
+  EXPECT_EQ(tally.mismatched, 0)
+      << "first differing output: " << tally.first_failure;
+}
+
+// Widths on either side of the 32-column tile (two 16-float vectors, or
+// two 16-column tiles of 8-float ones): one partial vector or two, after
+// no whole tile or one. gemm_nt takes the same widths as its dot length
+// and B row count, so every tail length meets both dot tile heights.
+TEST(GemmContract, WidthsAroundTheTileMatchExplicitFmaReference) {
+  common::Rng rng(505);
+  ContractTally tally;
+  for (std::int64_t lo : {17, 33}) {
+    for (std::int64_t w = lo; w < lo + 15; ++w) {
+      check_shape(kNnKernels, fma_ref_nn, kNnLayout, {13, 19, w}, rng, tally);
+      check_shape(kTnKernels, fma_ref_tn, kTnLayout, {19, 13, w}, rng, tally);
+      check_shape(kNtKernels, fma_ref_nt, kNtLayout, {13, w, w}, rng, tally);
+    }
+  }
+  EXPECT_EQ(tally.mismatched, 0)
+      << "first differing output: " << tally.first_failure;
 }
 
 }  // namespace
