@@ -31,8 +31,10 @@ enum Tag : int {
                         // "I rebooted" note; restarts the rank's push-rate
                         // window in the staleness policy. No reply.
   kTagViewChange = 13,  // membership detector -> PS shard: a new view was
-                        // published (Packet.c = epoch). Synchronous PSes
-                        // re-check their admission condition; others ignore.
+                        // published (Packet.c = epoch); without the detector,
+                        // a finishing drop-mode BSP worker's departure note.
+                        // Synchronous PSes re-check their admission
+                        // condition; others ignore.
   kTagBarrier = 100,    // +0/+1 reserved
   // Ring tag regions. Each membership epoch gets a tag pair inside the
   // region: tag = region + 2*(epoch % net::kEpochTagSpan) + phase, where

@@ -423,6 +423,22 @@ TEST(FaultCrash, BspStallBlocksHealthyWorkersDropDoesNot) {
   EXPECT_GT(stall_healthy, 1.5 * drop_healthy);
 }
 
+TEST(FaultCrash, BspDropFinishesWhenPeersDepartBeforeTheStraggler) {
+  // Without the failure detector, a round that closed with three pushes
+  // while rank 2 was down leaves rank 2's last push one short. Its peers
+  // finish first; their departure must re-check that round, or the run
+  // deadlocks on worker2.
+  Workload wl = small_workload();
+  TrainConfig cfg = small_functional_config(Algo::bsp);
+  cfg.faults.crashes = {{2, 0.5, 0.4}};
+  cfg.faults.sync_policy = faults::SyncPolicy::drop;
+  metrics::RunResult result;
+  EXPECT_NO_THROW(result = run_training(cfg, wl));
+  const Session probe(cfg, wl);
+  EXPECT_EQ(result.total_iterations, 4 * probe.iterations_per_worker());
+  EXPECT_EQ(result.metrics.total("faults.crashes_total"), 1.0);
+}
+
 TEST(FaultLink, DegradedLinkIsCountedAndSlowsTheRun) {
   cost::ModelProfile profile = cost::resnet50_profile();
   TrainConfig cfg = cost_config(Algo::bsp, 8, 10);
