@@ -2,7 +2,7 @@
 // algorithm's processes, runs the simulation, and assembles the RunResult.
 //
 // A Session owns the SimEngine/Network and the shared bookkeeping that the
-// per-algorithm launchers (launch_bsp & friends) attach their processes to.
+// per-algorithm launchers (launch_ps & friends) attach their processes to.
 #pragma once
 
 #include <memory>
@@ -253,12 +253,9 @@ class Session {
 
 // Per-algorithm launchers (defined in algo_centralized.cpp /
 // algo_decentralized.cpp / algo_fsdp.cpp). Each spawns all processes for
-// its protocol.
-void launch_bsp(Session& s);
-void launch_asp(Session& s);
-void launch_ssp(Session& s);
-void launch_dssp(Session& s);
-void launch_easgd(Session& s);
+// its protocol; launch_ps runs every parameter-server protocol (BSP, ASP,
+// SSP, DSSP, EASGD).
+void launch_ps(Session& s);
 void launch_arsgd(Session& s);
 void launch_gosgd(Session& s);
 void launch_adpsgd(Session& s);
