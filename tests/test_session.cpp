@@ -2,6 +2,8 @@
 // config/traits predicates they depend on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/session.hpp"
 #include "core/traits.hpp"
 #include "core/trainer.hpp"
@@ -147,6 +149,50 @@ TEST(Session, RejectsWorkloadWorkerMismatch) {
   cfg.algo = Algo::bsp;
   cfg.num_workers = 4;  // workload built for 2
   EXPECT_THROW(Session(cfg, wl), common::Error);
+}
+
+/// Runs `cfg` through the Session constructor and returns the error it
+/// raised (empty when it raised none).
+std::string construction_error(TrainConfig cfg) {
+  Workload wl = cost_wl();
+  try {
+    Session s(std::move(cfg), wl);
+  } catch (const common::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Session, RejectsEasgdTauBelowOne) {
+  // τ = 0 once ran to completion with α = 0.9/0 = ∞, a worker clamped to
+  // τ = 1 and a traffic estimate of 2MN/0.
+  TrainConfig cfg;
+  cfg.algo = Algo::easgd;
+  cfg.num_workers = 2;
+  cfg.iterations = 2;
+  for (int tau : {0, -3}) {
+    cfg.easgd_tau = tau;
+    EXPECT_NE(construction_error(cfg).find("easgd_tau"), std::string::npos)
+        << "tau " << tau;
+  }
+  cfg.easgd_tau = 1;
+  EXPECT_EQ(construction_error(cfg), "");
+}
+
+TEST(Session, RejectsNegativeSspStaleness) {
+  // s = -2 divided by zero in the traffic estimate (s + 2).
+  TrainConfig cfg;
+  cfg.algo = Algo::ssp;
+  cfg.num_workers = 2;
+  cfg.iterations = 2;
+  for (int staleness : {-1, -2}) {
+    cfg.ssp_staleness = staleness;
+    EXPECT_NE(construction_error(cfg).find("ssp_staleness"),
+              std::string::npos)
+        << "staleness " << staleness;
+  }
+  cfg.ssp_staleness = 0;
+  EXPECT_EQ(construction_error(cfg), "");
 }
 
 TEST(Session, RunTwiceThrows) {
