@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -113,24 +114,39 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b) {
   EXPECT_FALSE(a.timeseries_csv.empty());
 }
 
-TEST(Determinism, SspParallelOffloadMatchesSequential) {
-  // SSP: asynchronous pulls with a staleness bound — the schedule is
-  // sensitive to any event reordering, so this catches offload bugs that
-  // BSP's barriers would mask.
-  expect_identical(run_once(Algo::ssp, 1), run_once(Algo::ssp, 8));
+/// One parameter-server protocol of the 1-vs-8-thread A/B.
+struct PsOffloadCase {
+  const char* name;
+  Algo algo;
+  bool wait_free_bp;
+};
+
+void PrintTo(const PsOffloadCase& c, std::ostream* os) { *os << c.name; }
+
+class PsOffload : public ::testing::TestWithParam<PsOffloadCase> {};
+
+TEST_P(PsOffload, ParallelOffloadMatchesSequential) {
+  // The asynchronous protocols' schedules are sensitive to any event
+  // reordering, so they catch offload bugs that BSP's barriers would mask:
+  // ASP answers each push, SSP/DSSP pull within a staleness bound, EASGD
+  // exchanges with a center replica. BSP runs with wait-free BP, whose
+  // per-slot sends interleave with the backward advances: the offload join
+  // must land before the first slot is announced.
+  const PsOffloadCase& c = GetParam();
+  expect_identical(run_once(c.algo, 1, c.wait_free_bp),
+                   run_once(c.algo, 8, c.wait_free_bp));
 }
 
-TEST(Determinism, EasgdParallelOffloadMatchesSequential) {
-  // EASGD: asynchronous elastic averaging against a master replica.
-  expect_identical(run_once(Algo::easgd, 1), run_once(Algo::easgd, 8));
-}
-
-TEST(Determinism, BspWaitFreeParallelOffloadMatchesSequential) {
-  // Wait-free BP interleaves per-slot sends with the backward advances;
-  // the offload join must land before the first slot is announced.
-  expect_identical(run_once(Algo::bsp, 1, /*wait_free_bp=*/true),
-                   run_once(Algo::bsp, 8, /*wait_free_bp=*/true));
-}
+INSTANTIATE_TEST_SUITE_P(
+    Determinism, PsOffload,
+    ::testing::Values(PsOffloadCase{"bsp_wfbp", Algo::bsp, true},
+                      PsOffloadCase{"asp", Algo::asp, false},
+                      PsOffloadCase{"ssp", Algo::ssp, false},
+                      PsOffloadCase{"dssp", Algo::dssp, false},
+                      PsOffloadCase{"easgd", Algo::easgd, false}),
+    [](const ::testing::TestParamInfo<PsOffloadCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Determinism, ArsgdParallelOffloadMatchesSequential) {
   expect_identical(run_once(Algo::arsgd, 1), run_once(Algo::arsgd, 8));
