@@ -33,8 +33,7 @@
 #                                    # crash-with-rejoin), under
 #                                    # AddressSanitizer, then the
 #                                    # AR-SGD/D-PSGD fixtures of
-#                                    # test_golden under ASan with the
-#                                    # native kernels kept
+#                                    # test_golden under ASan
 #   scripts/check.sh fsdp            # FSDP/ZeRO smoke: the ctest label
 #                                    # `fsdp` (tests/test_fsdp — stage
 #                                    # equivalence, memory-peak ordering,
@@ -70,15 +69,11 @@ SANITIZER="${1:-}"
 if [[ "$SANITIZER" == "faults" ]]; then
   # Fault-injection smoke: the labeled fault suites plus test_golden, whose
   # lossy replicated-PS fixtures run every PS protocol's reliable link
-  # through a primary failover, under both sanitizers. Own trees
-  # (build-faults-<sanitizer>/): the flags go in CMAKE_CXX_FLAGS, not
-  # DT_SANITIZE, which would also drop the tensor kernels' native -O3/FMA
-  # build that test_golden's parameter hashes were captured with.
+  # through a primary failover, under both sanitizers (shares
+  # build-<sanitizer>/ with the plain sanitizer modes).
   for SAN in address thread; do
-    DIR="build-faults-$SAN"
-    cmake -B "$DIR" -S . -DDT_SANITIZE= \
-      "-DCMAKE_CXX_FLAGS=-fsanitize=$SAN -fno-omit-frame-pointer" \
-      "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=$SAN"
+    DIR="build-$SAN"
+    cmake -B "$DIR" -S . "-DDT_SANITIZE=$SAN"
     cmake --build "$DIR" -j "$(nproc)" \
       --target test_faults test_reliable test_golden dtrain
     ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L 'faults|reliable'
@@ -115,7 +110,8 @@ if [[ "$SANITIZER" == "membership" ]]; then
   # under AddressSanitizer (shares build-address/ with `address`).
   DIR=build-address
   cmake -B "$DIR" -S . -DDT_SANITIZE=address
-  cmake --build "$DIR" -j "$(nproc)" --target test_membership dtrain
+  cmake --build "$DIR" -j "$(nproc)" --target test_membership test_golden \
+    dtrain
   ctest --test-dir "$DIR" --output-on-failure -j "$(nproc)" -L membership
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' EXIT
@@ -124,14 +120,7 @@ if [[ "$SANITIZER" == "membership" ]]; then
     "$OLDPWD/examples/configs/ring_repair.ini")
   # The ring fixtures of test_golden (static, stall, DGC + wait-free BP,
   # detector-enabled and ring-repair runs of AR-SGD and D-PSGD), under
-  # ASan in a tree of its own: the flags go in CMAKE_CXX_FLAGS, not
-  # DT_SANITIZE, which would also drop the tensor kernels' native -O3/FMA
-  # build that the fixtures' parameter hashes were captured with.
-  DIR=build-membership
-  cmake -B "$DIR" -S . -DDT_SANITIZE= \
-    "-DCMAKE_CXX_FLAGS=-fsanitize=address -fno-omit-frame-pointer" \
-    "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address"
-  cmake --build "$DIR" -j "$(nproc)" --target test_golden
+  # ASan.
   "$DIR/tests/test_golden" --gtest_filter='*Arsgd*:*Dpsgd*'
   exit 0
 fi
@@ -161,16 +150,9 @@ if [[ "$SANITIZER" == "observers" ]]; then
   # buffer (number memos copy fixed-size text into it), the trace's flows
   # are expanded from the edge log by endpoint index, and the critical-path
   # analyzer walks hand-indexed CSR rows — exactly what ASan and UBSan
-  # catch. Own tree, since no other
-  # mode combines the two sanitizers. The flags go in CMAKE_CXX_FLAGS, not
-  # DT_SANITIZE: DT_SANITIZE also drops the tensor kernels' native -O3/FMA
-  # build, which changes float rounding, and test_golden's parameter hashes
-  # were captured with those kernels.
+  # catch. Own tree, since no other mode combines the two sanitizers.
   DIR=build-observers
-  SAN="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
-  cmake -B "$DIR" -S . -DDT_SANITIZE= \
-    "-DCMAKE_CXX_FLAGS=$SAN -fno-omit-frame-pointer" \
-    "-DCMAKE_EXE_LINKER_FLAGS=$SAN"
+  cmake -B "$DIR" -S . -DDT_SANITIZE=address,undefined
   cmake --build "$DIR" -j "$(nproc)" \
     --target test_metrics test_registry test_observability test_profile \
     test_golden dtrain

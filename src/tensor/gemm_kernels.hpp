@@ -28,17 +28,14 @@
 namespace dt::tensor::kernels {
 namespace {
 
-// The one multiply-add every chain is built from. It is spelled out rather
-// than left to -ffp-contract: GCC's vectorizer does not contract a*b + c
-// consistently in tiled code, so a fused build could mix fused and unfused
-// steps depending on the tile.
-inline float fmadd(float a, float b, float c) {
-#ifdef __FMA__
-  return std::fma(a, b, c);
-#else
-  return c + a * b;
-#endif
-}
+// The one multiply-add every chain is built from: std::fma, correctly
+// rounded on every build, so every build computes the same bits. It is one
+// instruction where the unit is built with FMA (__FMA__); elsewhere glibc
+// dispatches it to FMA3 at run time on x86-64, and only pre-FMA CPUs run it
+// in software. It is spelled out rather than left to -ffp-contract: GCC's
+// vectorizer does not contract a*b + c consistently in tiled code, so a
+// fused build could mix fused and unfused steps depending on the tile.
+inline float fmadd(float a, float b, float c) { return std::fma(a, b, c); }
 
 // Fixed-width GNU vectors make the lane layout explicit (gemm_nt's combine
 // tree depends on it) and leave the mapping to the target: a v16f is one
@@ -106,9 +103,9 @@ inline v8f high_half(v16f x) {
   return __builtin_shufflevector(x, x, 8, 9, 10, 11, 12, 13, 14, 15);
 }
 
-// Lane-wise fmadd: one vector FMA, or a vector multiply and add. The
-// intrinsics pin one instruction per register, which the per-lane loop
-// leaves to the vectorizer's preferred width.
+// Lane-wise fmadd: one vector FMA where __FMA__ holds, else the scalar
+// fmadd per lane. The intrinsics pin one instruction per register, which
+// the per-lane loop leaves to the vectorizer's preferred width.
 template <class V>
 inline V fmadd(V a, V b, V c) {
 #if defined(__FMA__) && (defined(__x86_64__) || defined(__i386__))

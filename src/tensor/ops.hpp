@@ -13,9 +13,9 @@
 // large.
 //
 // GEMM arithmetic contract. Each output element is one fixed sequence of
-// multiply-adds, fmadd(a, b, c), which is a fused std::fma when the kernel
-// unit is built with FMA (__FMA__; the default native build on x86-64) and
-// c + a * b otherwise:
+// multiply-adds, fmadd(a, b, c) = std::fma(a, b, c), correctly rounded on
+// every build (one instruction where the kernel unit is built with FMA,
+// __FMA__; the default native build on x86-64):
 //   gemm_nn  C[i][j] = chain over p = 0..k-1 of fmadd(A[i][p], B[p][j], .)
 //   gemm_tn  C[p][j] = chain over i = 0..m-1 of fmadd(A[i][p], B[i][j], .)
 // each chain starting from C (accumulate) or from +0. gemm_nt computes
@@ -24,7 +24,7 @@
 // ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then stores d or
 // C + d. The register-tiled kernels (gemm_kernels.hpp) reproduce these
 // sequences bit for bit, so results do not depend on tile shapes, vector
-// width, host core count or the runtime's compute_threads;
+// width, build flags, host core count or the runtime's compute_threads;
 // tests/test_tensor.cpp (GemmContract) checks them against the plain loops
 // at both tile widths.
 #pragma once

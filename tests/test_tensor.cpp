@@ -353,16 +353,10 @@ TEST(Ops, TopKBadKThrows) {
 // ops.hpp fixes how every GEMM output element is computed, not only how close
 // it lands: the loops below spell that contract out one element at a time,
 // and every kernel must reproduce them exactly. This file is compiled with
-// the kernel translation unit's flags (tests/CMakeLists.txt), so __FMA__
-// means the same thing here as in ops.cpp and gemm_kernels.hpp.
+// the kernel translation unit's flags (tests/CMakeLists.txt), so the kernels
+// it instantiates are built as ops.cpp's are.
 
-float fmadd(float a, float b, float c) {
-#ifdef __FMA__
-  return std::fma(a, b, c);
-#else
-  return c + a * b;
-#endif
-}
+float fmadd(float a, float b, float c) { return std::fma(a, b, c); }
 
 // C(m x n) (+)= A(m x k) * B(k x n): one in-order chain over p per element.
 void fma_ref_nn(const float* a, const float* b, float* c, std::int64_t m,
