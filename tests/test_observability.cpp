@@ -77,7 +77,8 @@ TEST(StalenessProbe, SspLocalStalenessRespectsBound) {
   for (const metrics::MetricValue* h : series) {
     EXPECT_GT(h->count, 0u);
     // The at-most-s-ahead bound admits values 0..s+1: the s+1 observation
-    // is the iteration that triggers the global sync (see launch_ssp_impl).
+    // is the iteration that triggers the global sync (see SspWorker in
+    // src/core/algo_centralized.cpp).
     EXPECT_LE(h->max, 4.0);
   }
 }
