@@ -13,7 +13,9 @@
 // over a lossy replicated PS with a primary failover, so the plain and
 // reliable parameter-server paths cannot drift; further inputs pin DGC
 // with wait-free BP, checkpoint recovery and BSP's QSGD with wait-free
-// BP. The ring fixtures pin
+// BP. The GoldenNeighbourProtocol fixtures pin GoSGD, AD-PSGD and D-PSGD's
+// neighbour exchanges fault-free, under worker faults and (GoSGD,
+// AD-PSGD) with checkpoint recovery. The ring fixtures pin
 // AR-SGD and D-PSGD on the static ring (fault-free, stall crash, DGC plus
 // wait-free BP, detector enabled for measurement) and under ring repair,
 // and CostOnlyRingRunsKeepTheirEventCounts pins what a static ring costs
@@ -345,19 +347,9 @@ TEST(Golden, TraceOnlyAndProfileOnlyRunsWriteTheBothOnBytes) {
   }
 }
 
-/// The parameter-server protocols other than BSP, each pinned fault-free,
-/// under the bsp_traced fault plan, and under the ps_lossy_traced
-/// reliability (lossy links, replicated PS, shard-0 primary crash).
-/// "lossy_early" moves the crash to t = 1, into the middle of an ASP
-/// round: the failover re-push must skip the slots already answered.
-/// "dgc_wfbp" streams DGC-sparse pushes out of the backward pass over the
-/// plain link (the shards' sparse applies); "qsgd_wfbp" runs BSP's
-/// quantized pushes with wait-free BP on; "checkpoint" takes the
-/// bsp_traced fault plan's crash with checkpoint recovery, "membership"
-/// with the failure detector measuring it (a view is published only for
-/// departures the protocol announces), and "drop" with sync_policy = drop
-/// and no failure detector.
-struct PsProtocolCase {
+/// One traced fixture input: a protocol under a named variant of the
+/// fixture run.
+struct ProtocolCase {
   const char* stem;
   Algo algo;
   const char* variant;  // "plain", "faults", "lossy", "lossy_early",
@@ -365,16 +357,30 @@ struct PsProtocolCase {
                         // "membership" or "drop"
 };
 
-void PrintTo(const PsProtocolCase& c, std::ostream* os) {
+void PrintTo(const ProtocolCase& c, std::ostream* os) {
   *os << c.stem << "_" << c.variant;
 }
 
-class GoldenPsProtocol : public ::testing::TestWithParam<PsProtocolCase> {};
+std::string case_name(const ::testing::TestParamInfo<ProtocolCase>& info) {
+  return std::string(info.param.stem) + "_" + info.param.variant;
+}
 
-TEST_P(GoldenPsProtocol, ObserverOutputsAreByteIdentical) {
-  const PsProtocolCase& c = GetParam();
+/// Runs `c`'s algorithm on the traced fixture config under its variant:
+/// "faults" is the bsp_traced fault plan and "lossy" the ps_lossy_traced
+/// reliability. "lossy_early" moves the crash to t = 1, into the middle of
+/// an ASP round: the failover re-push must skip the slots already
+/// answered. "dgc_wfbp" streams DGC-sparse pushes out of the backward pass
+/// over the plain link (the shards' sparse applies); "qsgd_wfbp" runs
+/// BSP's quantized pushes with wait-free BP on; "checkpoint" takes the
+/// bsp_traced fault plan's crash with checkpoint recovery, "membership"
+/// with the failure detector measuring it (a view is published only for
+/// departures the protocol announces), and "drop" with sync_policy = drop
+/// and no failure detector. Every variant runs SSP at staleness 3 and
+/// GoSGD at gossip probability 0.5, so gossip fires at this size.
+void expect_case_matches_golden(const ProtocolCase& c) {
   TrainConfig cfg = traced_fixture_config(c.algo);
   cfg.ssp_staleness = 3;
+  cfg.gosgd_p = 0.5;
   const std::string variant = c.variant;
   if (variant == "faults") {
     add_worker_faults(cfg);
@@ -402,32 +408,64 @@ TEST_P(GoldenPsProtocol, ObserverOutputsAreByteIdentical) {
       /*digest_only=*/true);
 }
 
+/// The parameter-server protocols other than BSP, each pinned fault-free,
+/// under the bsp_traced fault plan, and under the ps_lossy_traced
+/// reliability (lossy links, replicated PS, shard-0 primary crash), plus
+/// DGC with wait-free BP, checkpoint recovery and the failure detector;
+/// BSP with QSGD and wait-free BP, and in drop mode.
+class GoldenPsProtocol : public ::testing::TestWithParam<ProtocolCase> {};
+
+TEST_P(GoldenPsProtocol, ObserverOutputsAreByteIdentical) {
+  expect_case_matches_golden(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Golden, GoldenPsProtocol,
-    ::testing::Values(PsProtocolCase{"asp", Algo::asp, "plain"},
-                      PsProtocolCase{"asp", Algo::asp, "faults"},
-                      PsProtocolCase{"asp", Algo::asp, "lossy"},
-                      PsProtocolCase{"asp", Algo::asp, "lossy_early"},
-                      PsProtocolCase{"asp", Algo::asp, "dgc_wfbp"},
-                      PsProtocolCase{"asp", Algo::asp, "membership"},
-                      PsProtocolCase{"ssp", Algo::ssp, "plain"},
-                      PsProtocolCase{"ssp", Algo::ssp, "faults"},
-                      PsProtocolCase{"ssp", Algo::ssp, "lossy"},
-                      PsProtocolCase{"ssp", Algo::ssp, "dgc_wfbp"},
-                      PsProtocolCase{"ssp", Algo::ssp, "checkpoint"},
-                      PsProtocolCase{"dssp", Algo::dssp, "plain"},
-                      PsProtocolCase{"dssp", Algo::dssp, "faults"},
-                      PsProtocolCase{"dssp", Algo::dssp, "lossy"},
-                      PsProtocolCase{"dssp", Algo::dssp, "dgc_wfbp"},
-                      PsProtocolCase{"easgd", Algo::easgd, "plain"},
-                      PsProtocolCase{"easgd", Algo::easgd, "faults"},
-                      PsProtocolCase{"easgd", Algo::easgd, "lossy"},
-                      PsProtocolCase{"easgd", Algo::easgd, "checkpoint"},
-                      PsProtocolCase{"bsp", Algo::bsp, "qsgd_wfbp"},
-                      PsProtocolCase{"bsp", Algo::bsp, "drop"}),
-    [](const ::testing::TestParamInfo<PsProtocolCase>& info) {
-      return std::string(info.param.stem) + "_" + info.param.variant;
-    });
+    ::testing::Values(ProtocolCase{"asp", Algo::asp, "plain"},
+                      ProtocolCase{"asp", Algo::asp, "faults"},
+                      ProtocolCase{"asp", Algo::asp, "lossy"},
+                      ProtocolCase{"asp", Algo::asp, "lossy_early"},
+                      ProtocolCase{"asp", Algo::asp, "dgc_wfbp"},
+                      ProtocolCase{"asp", Algo::asp, "membership"},
+                      ProtocolCase{"ssp", Algo::ssp, "plain"},
+                      ProtocolCase{"ssp", Algo::ssp, "faults"},
+                      ProtocolCase{"ssp", Algo::ssp, "lossy"},
+                      ProtocolCase{"ssp", Algo::ssp, "dgc_wfbp"},
+                      ProtocolCase{"ssp", Algo::ssp, "checkpoint"},
+                      ProtocolCase{"dssp", Algo::dssp, "plain"},
+                      ProtocolCase{"dssp", Algo::dssp, "faults"},
+                      ProtocolCase{"dssp", Algo::dssp, "lossy"},
+                      ProtocolCase{"dssp", Algo::dssp, "dgc_wfbp"},
+                      ProtocolCase{"easgd", Algo::easgd, "plain"},
+                      ProtocolCase{"easgd", Algo::easgd, "faults"},
+                      ProtocolCase{"easgd", Algo::easgd, "lossy"},
+                      ProtocolCase{"easgd", Algo::easgd, "checkpoint"},
+                      ProtocolCase{"bsp", Algo::bsp, "qsgd_wfbp"},
+                      ProtocolCase{"bsp", Algo::bsp, "drop"}),
+    case_name);
+
+/// The neighbour-exchange protocols: GoSGD and AD-PSGD fault-free, under
+/// the bsp_traced fault plan (their receivers drop pushes addressed to the
+/// crashed rank) and with checkpoint recovery; D-PSGD fault-free and under
+/// a stall crash (its ring repair and detector fixtures are below).
+class GoldenNeighbourProtocol
+    : public ::testing::TestWithParam<ProtocolCase> {};
+
+TEST_P(GoldenNeighbourProtocol, ObserverOutputsAreByteIdentical) {
+  expect_case_matches_golden(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, GoldenNeighbourProtocol,
+    ::testing::Values(ProtocolCase{"gosgd", Algo::gosgd, "plain"},
+                      ProtocolCase{"gosgd", Algo::gosgd, "faults"},
+                      ProtocolCase{"gosgd", Algo::gosgd, "checkpoint"},
+                      ProtocolCase{"adpsgd", Algo::adpsgd, "plain"},
+                      ProtocolCase{"adpsgd", Algo::adpsgd, "faults"},
+                      ProtocolCase{"adpsgd", Algo::adpsgd, "checkpoint"},
+                      ProtocolCase{"dpsgd", Algo::dpsgd, "plain"},
+                      ProtocolCase{"dpsgd", Algo::dpsgd, "faults"}),
+    case_name);
 
 TEST(Golden, TracedBspMemoryGaugesObserverOutputsAreByteIdentical) {
   // Memory gauges on: the ledger's per-rank "memory" counters interleave
@@ -471,28 +509,17 @@ TrainConfig ring_drop_crash_config(Algo algo, int rank) {
   return ring_crash_config(algo, rank, faults::SyncPolicy::drop);
 }
 
-// The static ring paths: AR-SGD and D-PSGD under the bsp_traced fault plan
-// (a stall crash: the ring waits for the rebooted rank), D-PSGD fault-free,
-// AR-SGD with DGC and wait-free BP (four pipelined buckets), and AR-SGD
-// with the failure detector engaged for measurement only — the oracle
-// publishes views, but the ring stays static and stalls.
+// The static ring paths: AR-SGD under the bsp_traced fault plan (a stall
+// crash: the ring waits for the rebooted rank; D-PSGD's pair is in
+// GoldenNeighbourProtocol), AR-SGD with DGC and wait-free BP (four
+// pipelined buckets), and AR-SGD with the failure detector engaged for
+// measurement only — the oracle publishes views, but the ring stays static
+// and stalls.
 
 TEST(Golden, TracedArsgdStallCrashObserverOutputsAreByteIdentical) {
   TrainConfig cfg = traced_fixture_config(Algo::arsgd);
   add_worker_faults(cfg);
   expect_observers_match_golden(cfg, "arsgd_faults_traced",
-                                /*digest_only=*/true);
-}
-
-TEST(Golden, TracedDpsgdObserverOutputsAreByteIdentical) {
-  expect_observers_match_golden(traced_fixture_config(Algo::dpsgd),
-                                "dpsgd_plain_traced", /*digest_only=*/true);
-}
-
-TEST(Golden, TracedDpsgdStallCrashObserverOutputsAreByteIdentical) {
-  TrainConfig cfg = traced_fixture_config(Algo::dpsgd);
-  add_worker_faults(cfg);
-  expect_observers_match_golden(cfg, "dpsgd_faults_traced",
                                 /*digest_only=*/true);
 }
 
