@@ -1,17 +1,100 @@
 // Helpers shared by the algorithm launchers (algo_centralized.cpp,
-// algo_decentralized.cpp, algo_fsdp.cpp): the convergence-curve recorder,
-// the per-worker synchronization probes and their window accounting, and
-// the periodic crash-recovery checkpoint. Internal to src/core.
+// algo_decentralized.cpp, algo_fsdp.cpp): gradient compression setup, the
+// compute step of one iteration, the convergence-curve recorder, the per-worker
+// synchronization probes and their window accounting, and the periodic
+// crash-recovery checkpoint. Internal to src/core.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "compress/dgc.hpp"
 #include "core/session.hpp"
 #include "metrics/metrics.hpp"
 
 namespace dt::core {
+
+inline bool use_dgc(const Session& s) {
+  return s.cfg.opt.dgc && sends_gradients(s.cfg.algo);
+}
+
+/// DGC density used for wire sizing in cost-only mode (steady state).
+inline double dgc_steady_density(const Session& s) {
+  return 1.0 -
+         compress::DgcCompressor::sparsity_at(s.cfg.opt.dgc_config, 1e9);
+}
+
+/// The worker's DGC compressor (functional runs with DGC on, else null).
+inline std::unique_ptr<compress::DgcCompressor> make_dgc(const Session& s) {
+  if (!use_dgc(s) || !s.wl.functional()) return nullptr;
+  std::vector<std::int64_t> sizes;
+  for (std::size_t i = 0; i < s.wl.num_slots(); ++i) {
+    sizes.push_back(s.wl.slot_numel(i));
+  }
+  compress::DgcConfig cfg = s.cfg.opt.dgc_config;
+  cfg.num_workers = s.cfg.num_workers;
+  cfg.momentum = s.cfg.sgd.momentum;
+  return std::make_unique<compress::DgcCompressor>(cfg, std::move(sizes));
+}
+
+/// compute_iteration's default: no per-slot callback.
+struct NoSlotCallback {
+  void operator()(std::size_t /*slot*/) const {}
+};
+
+/// Runs one iteration's forward+backward in virtual time (and functionally
+/// when the workload is). `on_slot_ready`, when given, is invoked per slot
+/// in backprop (reverse) order — interleaved with the backward advances when
+/// wait-free BP is on, otherwise after the full backward. It is passed by
+/// pointer to its own type, so the callback is never type-erased.
+template <class OnSlot = NoSlotCallback>
+double compute_iteration(Session& s, runtime::Process& self, int rank,
+                         common::Rng& rng, metrics::WorkerMetrics& wm,
+                         OnSlot* on_slot_ready = nullptr) {
+  metrics::PhaseTimer timer(self, wm, metrics::Phase::compute);
+  // The forward-time draw must happen on the simulated thread, before the
+  // closure is submitted, so the RNG stream order is independent of the
+  // compute_threads setting. fault_stretch applies the rank's persistent
+  // straggler factor and any transient slowdown windows.
+  const double fwd = s.fault_stretch(self, rank, s.wl.forward_time(rng));
+  double loss = 0.0;
+  if (s.wl.functional()) {
+    // Forward+backward touches only worker-`rank` state (its model replica,
+    // batch cursor, gradient slots), so the numerics run on the host pool
+    // while other processes are scheduled across the modeled forward
+    // interval; a peer's responder that blends into the replica joins the
+    // closure first (Process::join_compute). advance_compute joins the
+    // closure before returning, so the gradients exist before any backward
+    // slot below is announced.
+    self.advance_compute(fwd,
+                         [&s, &loss, rank] { loss = s.wl.compute_gradients(rank); });
+  } else {
+    self.advance(fwd);
+  }
+
+  const std::size_t n = s.wl.num_slots();
+  if (!s.cfg.opt.wait_free_bp || on_slot_ready == nullptr) {
+    self.advance(s.fault_stretch(self, rank, s.wl.backward_time(rng)));
+    if (on_slot_ready != nullptr) {
+      for (std::size_t i = n; i-- > 0;) (*on_slot_ready)(i);
+    }
+  } else {
+    double nominal = 0.0;
+    for (std::size_t i = 0; i < n; ++i) nominal += s.wl.backward_slot_time(i);
+    const double total =
+        s.fault_stretch(self, rank, s.wl.backward_time(rng));
+    const double scale = nominal > 0.0 ? total / nominal : 0.0;
+    for (std::size_t i = n; i-- > 0;) {
+      self.advance(s.wl.backward_slot_time(i) * scale);
+      (*on_slot_ready)(i);
+    }
+  }
+  return loss;
+}
 
 /// Functional-mode convergence-curve recorder (worker 0 only).
 struct CurveRecorder {

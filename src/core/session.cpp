@@ -406,9 +406,9 @@ void Session::launch() {
     case Algo::dssp:
     case Algo::easgd: launch_ps(*this); return;
     case Algo::arsgd: launch_arsgd(*this); return;
-    case Algo::gosgd: launch_gosgd(*this); return;
-    case Algo::adpsgd: launch_adpsgd(*this); return;
-    case Algo::dpsgd: launch_dpsgd(*this); return;
+    case Algo::gosgd:
+    case Algo::adpsgd:
+    case Algo::dpsgd: launch_neighbour(*this); return;
     case Algo::fsdp: launch_fsdp(*this); return;
   }
   common::fail("Session: unknown algorithm");

@@ -253,13 +253,12 @@ class Session {
 
 // Per-algorithm launchers (defined in algo_centralized.cpp /
 // algo_decentralized.cpp / algo_fsdp.cpp). Each spawns all processes for
-// its protocol; launch_ps runs every parameter-server protocol (BSP, ASP,
-// SSP, DSSP, EASGD).
+// its protocols; launch_ps runs every parameter-server protocol (BSP, ASP,
+// SSP, DSSP, EASGD), launch_neighbour every neighbour exchange (GoSGD,
+// AD-PSGD, D-PSGD).
 void launch_ps(Session& s);
 void launch_arsgd(Session& s);
-void launch_gosgd(Session& s);
-void launch_adpsgd(Session& s);
-void launch_dpsgd(Session& s);
+void launch_neighbour(Session& s);
 void launch_fsdp(Session& s);
 
 /// One-call entry point: build a session, run it, return the result.

@@ -279,16 +279,16 @@ void Process::advance_compute(double seconds, std::function<void()> work) {
     advance(seconds);
     return;
   }
-  std::future<void> done = pool->submit(std::move(work));
+  compute_ = pool->submit(std::move(work));
   try {
     advance(seconds);
   } catch (...) {
     // The closure references caller-owned state; it must finish before the
     // stack unwinds (e.g. ProcessKilled during engine shutdown).
-    done.wait();
+    compute_.wait();
     throw;
   }
-  done.get();  // joins the closure; rethrows its failure, if any
+  compute_.get();  // joins the closure; rethrows its failure, if any
 }
 
 void Process::wait_event() {

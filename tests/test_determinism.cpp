@@ -85,6 +85,7 @@ RunArtifacts run_once(Algo algo, int threads, bool wait_free_bp = false,
   cfg.cluster.workers_per_machine = 2;
   cfg.opt.ps_shards_per_machine = 1;
   cfg.opt.wait_free_bp = wait_free_bp;
+  cfg.gosgd_p = 0.5;  // gossip fires at this size
   cfg.seed = 7;
   cfg.compute_threads = threads;
   cfg.metrics_jsonl = jsonl;
@@ -114,16 +115,21 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b) {
   EXPECT_FALSE(a.timeseries_csv.empty());
 }
 
-/// One parameter-server protocol of the 1-vs-8-thread A/B.
-struct PsOffloadCase {
+/// One protocol of the 1-vs-8-thread A/B.
+struct OffloadCase {
   const char* name;
   Algo algo;
   bool wait_free_bp;
 };
 
-void PrintTo(const PsOffloadCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const OffloadCase& c, std::ostream* os) { *os << c.name; }
 
-class PsOffload : public ::testing::TestWithParam<PsOffloadCase> {};
+std::string offload_case_name(
+    const ::testing::TestParamInfo<OffloadCase>& info) {
+  return info.param.name;
+}
+
+class PsOffload : public ::testing::TestWithParam<OffloadCase> {};
 
 TEST_P(PsOffload, ParallelOffloadMatchesSequential) {
   // The asynchronous protocols' schedules are sensitive to any event
@@ -132,29 +138,38 @@ TEST_P(PsOffload, ParallelOffloadMatchesSequential) {
   // exchanges with a center replica. BSP runs with wait-free BP, whose
   // per-slot sends interleave with the backward advances: the offload join
   // must land before the first slot is announced.
-  const PsOffloadCase& c = GetParam();
+  const OffloadCase& c = GetParam();
   expect_identical(run_once(c.algo, 1, c.wait_free_bp),
                    run_once(c.algo, 8, c.wait_free_bp));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Determinism, PsOffload,
-    ::testing::Values(PsOffloadCase{"bsp_wfbp", Algo::bsp, true},
-                      PsOffloadCase{"asp", Algo::asp, false},
-                      PsOffloadCase{"ssp", Algo::ssp, false},
-                      PsOffloadCase{"dssp", Algo::dssp, false},
-                      PsOffloadCase{"easgd", Algo::easgd, false}),
-    [](const ::testing::TestParamInfo<PsOffloadCase>& info) {
-      return std::string(info.param.name);
-    });
+    ::testing::Values(OffloadCase{"bsp_wfbp", Algo::bsp, true},
+                      OffloadCase{"asp", Algo::asp, false},
+                      OffloadCase{"ssp", Algo::ssp, false},
+                      OffloadCase{"dssp", Algo::dssp, false},
+                      OffloadCase{"easgd", Algo::easgd, false}),
+    offload_case_name);
 
-TEST(Determinism, ArsgdParallelOffloadMatchesSequential) {
-  expect_identical(run_once(Algo::arsgd, 1), run_once(Algo::arsgd, 8));
+class DecentralizedOffload : public ::testing::TestWithParam<OffloadCase> {};
+
+TEST_P(DecentralizedOffload, ParallelOffloadMatchesSequential) {
+  // AR-SGD and D-PSGD touch only their own replica during compute. GoSGD's
+  // and AD-PSGD's responders blend into a replica whose gradient may still
+  // be computing on the pool: the run matches the sequential one only if
+  // each responder joins that computation first (Process::join_compute).
+  const OffloadCase& c = GetParam();
+  expect_identical(run_once(c.algo, 1), run_once(c.algo, 8));
 }
 
-TEST(Determinism, DpsgdParallelOffloadMatchesSequential) {
-  expect_identical(run_once(Algo::dpsgd, 1), run_once(Algo::dpsgd, 8));
-}
+INSTANTIATE_TEST_SUITE_P(
+    Determinism, DecentralizedOffload,
+    ::testing::Values(OffloadCase{"arsgd", Algo::arsgd, false},
+                      OffloadCase{"dpsgd", Algo::dpsgd, false},
+                      OffloadCase{"gosgd", Algo::gosgd, false},
+                      OffloadCase{"adpsgd", Algo::adpsgd, false}),
+    offload_case_name);
 
 TEST(Determinism, ComputeThreadsEnvIsPickedUp) {
   // compute_threads=0 defers to DT_COMPUTE_THREADS; results must still be

@@ -764,6 +764,31 @@ TEST(Sim, AdvanceComputeJoinsBeforeResuming) {
   EXPECT_TRUE(closure_done.load());
 }
 
+TEST(Sim, JoinComputeWaitsForAnotherProcessesClosure) {
+  // A peer that joins the worker's in-flight closure mid-interval sees its
+  // writes and may then write the same state: no virtual time passes, and
+  // the plain int makes any missing happens-before a TSan report.
+  SimEngine engine;
+  engine.set_compute_threads(2);
+  int replica = 0;
+  Process& worker = engine.spawn("worker", [&replica](Process& self) {
+    self.join_compute();  // nothing in flight: a no-op
+    self.advance_compute(1.0, [&replica] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      replica = 1;
+    });
+    EXPECT_EQ(replica, 2);  // the peer's write at t = 0.5 came after
+  });
+  engine.spawn("peer", [&](Process& self) {
+    self.advance(0.5);
+    worker.join_compute();
+    EXPECT_EQ(replica, 1);
+    EXPECT_DOUBLE_EQ(self.now(), 0.5);
+    replica = 2;
+  });
+  engine.run();
+}
+
 TEST(Sim, AdvanceComputeEventOrderMatchesSequential) {
   // The virtual event order must be a pure function of virtual times:
   // identical regardless of compute_threads.
